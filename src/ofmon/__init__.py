@@ -1,91 +1,44 @@
 """Deterministic OpenFlow-pipeline flow monitoring simulator."""
 
-from .controller import ControllerConfig, MonitoringController, export_records
+from .controller import ControllerConfig
 from .evaluation import (
-    compute_fsd,
     count_flows,
     run_overhead_experiment,
     run_rate_experiment,
     run_wmrd_experiment,
-    wmrd,
 )
-from .model import ExpiryReason, FlowKey, FlowRecord, PacketRecord, Protocol, flow_key_of
+from .model import PacketRecord, Protocol, flow_key_of
 from .sampling import (
-    RuleSet,
     SamplingConfig,
     SamplingMethod,
     SamplingMode,
     config_for_rate,
-    gen_hash_rules,
-    gen_ip_suffix_rules,
-    gen_port_rules,
     generate_rules,
     select_bucket,
-    theoretical_rate,
 )
-from .simulate import Simulation, SimulationResult, replay
-from .switch import FlowEntry, GroupEntry, MatchFields, Switch
-from .traceio import (
-    ExponentialGap,
-    Fixed,
-    FixedGap,
-    Geometric,
-    ParetoDiscrete,
-    SyntheticSpec,
-    UniformRandom,
-    ZipfSkewed,
-    generate_trace,
-    randomize_trace,
-    read_csv_trace,
-    write_csv_trace,
-)
+from .simulate import replay
+from .traceio import Geometric, SyntheticSpec, generate_trace, randomize_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ControllerConfig",
-    "ExpiryReason",
-    "ExponentialGap",
-    "Fixed",
-    "FixedGap",
-    "FlowEntry",
-    "FlowKey",
-    "FlowRecord",
     "Geometric",
-    "GroupEntry",
-    "MatchFields",
-    "MonitoringController",
     "PacketRecord",
-    "ParetoDiscrete",
     "Protocol",
-    "RuleSet",
     "SamplingConfig",
     "SamplingMethod",
     "SamplingMode",
-    "Simulation",
-    "SimulationResult",
-    "Switch",
     "SyntheticSpec",
-    "UniformRandom",
-    "ZipfSkewed",
-    "compute_fsd",
-    "count_flows",
     "config_for_rate",
-    "export_records",
+    "count_flows",
     "flow_key_of",
-    "gen_hash_rules",
-    "gen_ip_suffix_rules",
-    "gen_port_rules",
     "generate_rules",
     "generate_trace",
     "randomize_trace",
-    "read_csv_trace",
     "replay",
     "run_overhead_experiment",
     "run_rate_experiment",
     "run_wmrd_experiment",
     "select_bucket",
-    "theoretical_rate",
-    "wmrd",
-    "write_csv_trace",
 ]

@@ -236,10 +236,6 @@ def _parse_synthetic(spec: dict) -> SyntheticSpec:
     )
 
 
-_METHODS = {m.value: m for m in SamplingMethod}
-_MODES = {m.value: m for m in SamplingMode}
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Validated campaign: everything needed to run and nothing ambient."""
@@ -300,7 +296,7 @@ def load_campaign(path: str) -> CampaignConfig:
             raise ConfigError(f"bad synthetic trace spec: {exc}") from exc
 
     sampling = tuple(
-        (_METHODS[item["method"]], _MODES[item.get("mode", "source")])
+        (SamplingMethod(item["method"]), SamplingMode(item.get("mode", "source")))
         for item in raw["sampling"]
     )
     rates = tuple(parse_rate(r) for r in raw["rates"])
@@ -314,10 +310,22 @@ def load_campaign(path: str) -> CampaignConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     overhead = raw.get("overhead", {})
+    overhead_rate = parse_rate(overhead.get("rate", "1"))
+    if "overhead" in raw["experiments"] and overhead_rate != 1 and len(sampling) > 1:
+        raise ConfigError(
+            "campaign config invalid at overhead/rate: a rate other than 1 runs one"
+            f" sampling method, but {len(sampling)} sampling entries are given"
+        )
     export = raw.get("export", {})
-    workers = raw.get("workers") or int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if workers < 1:
-        raise ConfigError("worker count must be >= 1")
+    workers = raw.get("workers")  # the schema already keeps it >= 1
+    if workers is None:
+        text = os.environ.get(WORKERS_ENV) or "1"
+        try:
+            workers = int(text)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
     return CampaignConfig(
         seed=raw["seed"],
         trace_path=trace_path,
@@ -331,7 +339,7 @@ def load_campaign(path: str) -> CampaignConfig:
         overhead_delays_ns=tuple(
             _ms_to_ns(d) for d in overhead.get("delays_ms", DEFAULT_OVERHEAD_DELAYS_MS)
         ),
-        overhead_rate=parse_rate(overhead.get("rate", "1")),
+        overhead_rate=overhead_rate,
         export_rate=parse_rate(export["rate"]) if "rate" in export else rates[0],
         export_format=export.get("format", "jsonl"),
         output_dir=raw.get("output_dir"),
@@ -339,21 +347,17 @@ def load_campaign(path: str) -> CampaignConfig:
     )
 
 
-def _rate_cell(args):
-    trace, method, mode, rate, trials, seed, controller = args
-    return run_rate_experiment(trace, method, mode, rate, trials, seed, controller)
+def _run_cell(job):
+    experiment, args = job
+    run = run_rate_experiment if experiment == "rate" else run_wmrd_experiment
+    return run(*args)
 
 
-def _wmrd_cell(args):
-    trace, method, mode, rate, trials, seed, controller = args
-    return run_wmrd_experiment(trace, method, mode, rate, trials, seed, controller)
-
-
-def _run_cells(cell_fn, jobs, workers: int):
+def _run_cells(jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
-        return [cell_fn(job) for job in jobs]
+        return [_run_cell(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(cell_fn, jobs))
+        return list(pool.map(_run_cell, jobs))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -367,6 +371,41 @@ def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# experiment -> its per-trial columns, a cell's per-trial rows, a cell's statistics
+_TRIAL_TABLES = {
+    "rate": (
+        ["sampled_flows", "theoretical_flows"],
+        lambda s: [[count, s.theoretical_count] for count in s.counts],
+        lambda s: {"theoretical_count": s.theoretical_count, "median": s.median,
+                   "p5": s.p5, "p95": s.p95},
+    ),
+    "wmrd": (
+        ["wmrd"],
+        lambda s: [[value] for value in s.values],
+        lambda s: {"min": s.minimum, "q1": s.q1, "median": s.median, "q3": s.q3,
+                   "max": s.maximum},
+    ),
+}
+
+
+def _write_trial_tables(out: Path, experiment: str, summaries: list) -> list[str]:
+    """One CSV row per trial and one JSON summary per cell; returns the file names."""
+    columns, rows_of, stats_of = _TRIAL_TABLES[experiment]
+    cells = [
+        (s, {"method": s.method.value, "mode": s.mode.value,
+             "target_rate": str(s.target_rate), "realized_rate": str(s.realized_rate)})
+        for s in summaries
+    ]
+    results, summary = f"{experiment}_results.csv", f"{experiment}_summary.json"
+    _write_csv(
+        out / results,
+        ["method", "mode", "target_rate", "realized_rate", "trial", *columns],
+        [[*cell.values(), trial, *row] for s, cell in cells for trial, row in enumerate(rows_of(s))],
+    )
+    _write_json(out / summary, [{**cell, "trials": s.trials, **stats_of(s)} for s, cell in cells])
+    return [results, summary]
 
 
 def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[str]:
@@ -390,90 +429,23 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
     def cell_seed(tag: str, method, mode, rate) -> int:
         return derive_seed(config.seed, tag, method.value, mode.value, str(rate))
 
-    if "rate" in config.experiments:
+    for experiment in _TRIAL_TABLES:
+        if experiment not in config.experiments:
+            continue
         jobs = [
-            (trace, m, mo, r, config.trials, cell_seed("rate", m, mo, r), config.controller)
+            (experiment, (trace, m, mo, r, config.trials, cell_seed(experiment, m, mo, r),
+                          config.controller))
             for m, mo, r in cells
         ]
-        summaries = _run_cells(_rate_cell, jobs, config.workers)
+        summaries = _run_cells(jobs, config.workers)
         summaries.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))
-        rows = []
-        for s in summaries:
-            for trial, count in enumerate(s.counts):
-                rows.append(
-                    [s.method.value, s.mode.value, str(s.target_rate), str(s.realized_rate),
-                     trial, count, s.theoretical_count]
-                )
-        _write_csv(
-            out / "rate_results.csv",
-            ["method", "mode", "target_rate", "realized_rate", "trial", "sampled_flows",
-             "theoretical_flows"],
-            rows,
-        )
-        _write_json(
-            out / "rate_summary.json",
-            [
-                {
-                    "method": s.method.value,
-                    "mode": s.mode.value,
-                    "target_rate": str(s.target_rate),
-                    "realized_rate": str(s.realized_rate),
-                    "trials": s.trials,
-                    "theoretical_count": s.theoretical_count,
-                    "median": s.median,
-                    "p5": s.p5,
-                    "p95": s.p95,
-                }
-                for s in summaries
-            ],
-        )
-        written += ["rate_results.csv", "rate_summary.json"]
-        progress(f"rate experiment done: {len(summaries)} cells")
-
-    if "wmrd" in config.experiments:
-        jobs = [
-            (trace, m, mo, r, config.trials, cell_seed("wmrd", m, mo, r), config.controller)
-            for m, mo, r in cells
-        ]
-        summaries = _run_cells(_wmrd_cell, jobs, config.workers)
-        summaries.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))
-        rows = []
-        for s in summaries:
-            for trial, value in enumerate(s.values):
-                rows.append(
-                    [s.method.value, s.mode.value, str(s.target_rate), str(s.realized_rate),
-                     trial, value]
-                )
-        _write_csv(
-            out / "wmrd_results.csv",
-            ["method", "mode", "target_rate", "realized_rate", "trial", "wmrd"],
-            rows,
-        )
-        _write_json(
-            out / "wmrd_summary.json",
-            [
-                {
-                    "method": s.method.value,
-                    "mode": s.mode.value,
-                    "target_rate": str(s.target_rate),
-                    "realized_rate": str(s.realized_rate),
-                    "trials": s.trials,
-                    "min": s.minimum,
-                    "q1": s.q1,
-                    "median": s.median,
-                    "q3": s.q3,
-                    "max": s.maximum,
-                }
-                for s in summaries
-            ],
-        )
-        written += ["wmrd_results.csv", "wmrd_summary.json"]
-        progress(f"wmrd experiment done: {len(summaries)} cells")
+        written += _write_trial_tables(out, experiment, summaries)
+        progress(f"{experiment} experiment done: {len(summaries)} cells")
 
     if "overhead" in config.experiments:
         sampling_cfg = None
         if config.overhead_rate != 1:
-            method, mode = config.sampling[0]
+            (method, mode), = config.sampling  # load_campaign allows only one here
             sampling_cfg = config_for_rate(
                 method, mode, config.overhead_rate, derive_seed(config.seed, "overhead")
             )

@@ -42,10 +42,6 @@ def parse_duration_ns(text: str) -> int:
     return int(round(float(value) * _DURATION_NS[unit or "ns"]))
 
 
-_METHODS = {m.value: m for m in SamplingMethod}
-_MODES = {m.value: m for m in SamplingMode}
-
-
 def _parse_sizes(token: str):
     kind, _, rest = token.partition(":")
     try:
@@ -114,7 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not Path(args.trace).exists():
         raise ConfigError(f"trace not found: {args.trace}")
     target = parse_rate(args.rate)
-    sampling = config_for_rate(_METHODS[args.method], _MODES[args.mode], target, args.seed)
+    sampling = config_for_rate(args.method, args.mode, target, args.seed)
     controller = ControllerConfig(
         install_delay_ns=parse_duration_ns(args.delay),
         idle_timeout_ns=parse_duration_ns(args.idle),
@@ -158,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="replay a trace and export flow records")
     p_sim.add_argument("--trace", required=True, help="input trace CSV (.gz ok)")
-    p_sim.add_argument("--method", choices=sorted(_METHODS), required=True)
-    p_sim.add_argument("--mode", choices=sorted(_MODES), default="source")
+    p_sim.add_argument("--method", choices=sorted(m.value for m in SamplingMethod), required=True)
+    p_sim.add_argument("--mode", choices=sorted(m.value for m in SamplingMode), default="source")
     p_sim.add_argument("--rate", required=True, help="sampling rate as a fraction, e.g. 1/64")
     p_sim.add_argument("--idle", default="15s", help="idle timeout (default 15s)")
     p_sim.add_argument("--hard", default="0", help="hard timeout, 0 disables (default)")

@@ -9,7 +9,6 @@ counters into one flow record.
 """
 
 import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -234,17 +233,6 @@ class MonitoringController:
             out.append(record)
         self._pending.clear()
         return out
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
-    def export_records(self, sink: io.TextIOBase, fmt: str = "jsonl") -> int:
-        return export_records(self.records, sink, fmt)
 
 
 def record_to_dict(record: FlowRecord) -> dict:

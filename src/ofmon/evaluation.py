@@ -9,7 +9,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .controller import ControllerConfig
 from .model import FlowRecord, PacketRecord, Protocol, flow_key_of
@@ -21,9 +21,7 @@ from .sampling import (
     derive_seed,
     generate_rules,
 )
-from .simulate import Simulation
-
-Fsd = Counter  # flow-size histogram: packets-per-flow -> number of flows
+from .simulate import Simulation, SimulationResult
 
 
 def compute_fsd(items: Iterable) -> Counter:
@@ -115,20 +113,21 @@ def count_flows(trace: Iterable[PacketRecord]) -> int:
     return len({flow_key_of(p) for p in trace})
 
 
-def run_rate_experiment(
+def _run_trials(
     trace: Sequence[PacketRecord],
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
     trials: int,
     seed: int,
-    controller_config: ControllerConfig | None = None,
-) -> RateTrialSummary:
-    """Replay `trials` independent rule draws and count sampled flows.
+    controller_config: ControllerConfig | None,
+    metric: Callable[[SimulationResult], float],
+) -> tuple[SamplingMethod, SamplingMode, Fraction, list[float]]:
+    """Replay one independent rule draw per trial and apply `metric` to each.
 
     The hash method is deterministic given its seed, so it runs one trial.
-    If the target rate is not representable, the nearest one is used and
-    reported as realized_rate.
+    Returns the parsed method and mode, the realized rate (the nearest
+    representable one when the target is not) and the per-trial values.
     """
     method, mode = SamplingMethod(method), SamplingMode(mode)
     if trials < 1:
@@ -138,21 +137,36 @@ def run_rate_experiment(
     base = config_for_rate(method, mode, target_rate, seed)
     realized = generate_rules(base).theoretical_rate
     cc = controller_config or ControllerConfig()
-    counts = []
+    values = []
     for trial in range(trials):
         cfg = replace(base, seed=derive_seed(seed, trial))
-        result = Simulation(cfg, cc, track_flows=False).run(trace)
-        counts.append(result.flows_sampled)
-    total_flows = count_flows(trace)
+        values.append(metric(Simulation(cfg, cc, track_flows=False).run(trace)))
+    return method, mode, realized, values
+
+
+def run_rate_experiment(
+    trace: Sequence[PacketRecord],
+    method: SamplingMethod,
+    mode: SamplingMode,
+    target_rate: Fraction,
+    trials: int,
+    seed: int,
+    controller_config: ControllerConfig | None = None,
+) -> RateTrialSummary:
+    """Count the sampled flows of `trials` independent rule draws."""
+    method, mode, realized, counts = _run_trials(
+        trace, method, mode, target_rate, trials, seed, controller_config,
+        lambda result: result.flows_sampled,
+    )
     p5, median, p95 = _percentiles(counts)
     return RateTrialSummary(
         method=method,
         mode=mode,
         target_rate=target_rate,
         realized_rate=realized,
-        trials=trials,
+        trials=len(counts),
         counts=tuple(counts),
-        theoretical_count=float(total_flows * realized),
+        theoretical_count=float(count_flows(trace) * realized),
         median=median,
         p5=p5,
         p95=p95,
@@ -186,27 +200,18 @@ def run_wmrd_experiment(
     controller_config: ControllerConfig | None = None,
 ) -> WmrdSummary:
     """Per-trial WMRD between the sampled-flow FSD and the full-trace FSD."""
-    method, mode = SamplingMethod(method), SamplingMode(mode)
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if method is SamplingMethod.HASH_BASED:
-        trials = 1
-    base = config_for_rate(method, mode, target_rate, seed)
-    realized = generate_rules(base).theoretical_rate
-    cc = controller_config or ControllerConfig()
     original = compute_fsd(trace)
-    values = []
-    for trial in range(trials):
-        cfg = replace(base, seed=derive_seed(seed, trial))
-        result = Simulation(cfg, cc, track_flows=False).run(trace)
-        values.append(wmrd(original, compute_fsd(result.records)))
+    method, mode, realized, values = _run_trials(
+        trace, method, mode, target_rate, trials, seed, controller_config,
+        lambda result: wmrd(original, compute_fsd(result.records)),
+    )
     vmin, q1, med, q3, vmax = _quartiles(values)
     return WmrdSummary(
         method=method,
         mode=mode,
         target_rate=target_rate,
         realized_rate=realized,
-        trials=trials,
+        trials=len(values),
         values=tuple(values),
         minimum=vmin,
         q1=q1,

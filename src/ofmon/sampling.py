@@ -325,9 +325,9 @@ def config_for_rate(
 ) -> SamplingConfig:
     """Nearest representable parameters for a requested sampling rate.
 
-    Methods quantize differently (power-of-two for suffixes, 1/65535 steps
-    for ports, weight ratios for hash), so the realized rate can differ from
-    the target; read it back off the generated RuleSet.
+    Suffixes quantize to powers of two and ports to 1/65535 steps, so their
+    realized rate can differ from the target; read it back off the generated
+    RuleSet.  Hash realizes any rational p/q exactly, as weights p : q-p.
     """
     method = SamplingMethod(method)
     mode = SamplingMode(mode)
@@ -348,7 +348,11 @@ def config_for_rate(
             return SamplingConfig(method=method, mode=mode, src_size=count, dst_size=count, seed=seed)
         count = min(max(round(float(target_rate) * PORT_SPACE), 1), PORT_SPACE)
         return SamplingConfig(method=method, mode=mode, src_size=count, seed=seed)
-    drop = max(round(1 / target_rate) - 1, 0)
+    rate = Fraction(target_rate)
     return SamplingConfig(
-        method=method, mode=mode, sample_weight=1, drop_weight=drop, seed=seed
+        method=method,
+        mode=mode,
+        sample_weight=rate.numerator,
+        drop_weight=rate.denominator - rate.numerator,
+        seed=seed,
     )

@@ -8,12 +8,12 @@ replays to identical output, always.
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .controller import ControllerConfig, MonitoringController, ScheduledFlowMod
 from .model import FlowKey, FlowRecord, PacketRecord, flow_key_of
-from .sampling import RuleSet, SamplingConfig, derive_seed, generate_rules, select_bucket
+from .sampling import SamplingConfig, generate_rules, select_bucket
 from .switch import (
     DEFAULT_PRIORITY,
     FLOW_RECORD_PRIORITY,
@@ -44,47 +44,25 @@ class Simulation:
 
     def __init__(
         self,
-        sampling: SamplingConfig | RuleSet,
+        sampling: SamplingConfig,
         controller_config: ControllerConfig | None = None,
         *,
-        rotation_interval_ns: int = 0,
         track_flows: bool = True,
     ):
-        self.rule_set = sampling if isinstance(sampling, RuleSet) else generate_rules(sampling)
-        seed = self.rule_set.config.seed
+        self.rule_set = generate_rules(sampling)
+        seed = sampling.seed
         self.switch = Switch(bucket_selector=lambda group, key: select_bucket(group, key, seed))
         self.controller = MonitoringController(controller_config or ControllerConfig())
-        if rotation_interval_ns < 0:
-            raise ValueError("rotation interval cannot be negative")
-        self._rotation_interval = rotation_interval_ns
         self._track_flows = track_flows
         # block 3: the catch-all that keeps unmonitored traffic flowing
         self.switch.install_flow_entry(
             FlowEntry(match=MatchFields(), priority=DEFAULT_PRIORITY, actions=(GotoTable(),)),
             install_time_ns=0,
         )
-        self._sampling_ids: list[int] = []
-        self._install_sampling_rules(self.rule_set, at_ns=0)
-
-    def _install_sampling_rules(self, rule_set: RuleSet, at_ns: int) -> None:
-        for group in rule_set.groups:
-            self.switch.install_group(group)
-        self._sampling_ids = [
-            self.switch.install_flow_entry(entry, at_ns) for entry in rule_set.flow_entries
-        ]
-
-    def _rotate(self, at_ns: int, rotation_index: int) -> None:
-        """Replace the sampling block with a fresh draw (same parameters)."""
-        for eid in self._sampling_ids:
-            self.switch.remove_flow_entry(eid)
         for group in self.rule_set.groups:
-            self.switch.remove_group(group.group_id)
-        cfg = self.rule_set.config
-        fresh = generate_rules(
-            dc_replace(cfg, seed=derive_seed(cfg.seed, "rotation", rotation_index))
-        )
-        self._install_sampling_rules(fresh, at_ns)
-        self.rule_set = fresh
+            self.switch.install_group(group)
+        for entry in self.rule_set.flow_entries:
+            self.switch.install_flow_entry(entry, install_time_ns=0)
 
     def run(self, trace: Iterable[PacketRecord]) -> SimulationResult:
         switch = self.switch
@@ -94,34 +72,18 @@ class Simulation:
         installs = 0
         peak = 0
         seen: set[FlowKey] | None = set() if self._track_flows else None
-        rotation = self._rotation_interval
-        next_rotation = rotation if rotation else None
-        rotation_index = 0
         last_ts = 0
 
         for pkt in trace:
             ts = pkt.timestamp_ns
-            while True:
-                due_mod = pending_mods[0][0] if pending_mods else None
-                if (
-                    next_rotation is not None
-                    and next_rotation <= ts
-                    and (due_mod is None or next_rotation <= due_mod)
-                ):
-                    self._rotate(next_rotation, rotation_index)
-                    rotation_index += 1
-                    next_rotation += rotation
-                    continue
-                if due_mod is not None and due_mod <= ts:
-                    _, _, mod = heapq.heappop(pending_mods)
-                    eid = switch.install_flow_entry(mod.entry, mod.execute_at_ns)
-                    controller.on_flow_mod_installed(mod.key, eid)
-                    installs += 1
-                    occupancy = switch.active_entry_count(FLOW_RECORD_PRIORITY)
-                    if occupancy > peak:
-                        peak = occupancy
-                    continue
-                break
+            while pending_mods and pending_mods[0][0] <= ts:
+                _, _, mod = heapq.heappop(pending_mods)
+                eid = switch.install_flow_entry(mod.entry, mod.execute_at_ns)
+                controller.on_flow_mod_installed(mod.key, eid)
+                installs += 1
+                occupancy = switch.active_entry_count(FLOW_RECORD_PRIORITY)
+                if occupancy > peak:
+                    peak = occupancy
             if seen is not None:
                 seen.add(flow_key_of(pkt))
             for event in switch.process_packet(pkt):
@@ -153,9 +115,8 @@ class Simulation:
 
 def replay(
     trace: Iterable[PacketRecord],
-    sampling: SamplingConfig | RuleSet,
+    sampling: SamplingConfig,
     controller_config: ControllerConfig | None = None,
-    **kwargs,
 ) -> SimulationResult:
     """One-shot convenience wrapper around Simulation."""
-    return Simulation(sampling, controller_config, **kwargs).run(trace)
+    return Simulation(sampling, controller_config).run(trace)

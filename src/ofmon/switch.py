@@ -132,10 +132,6 @@ class FlowEntry:
     entry_id: int = -1
 
 
-class GroupType(enum.Enum):
-    SELECT = "select"
-
-
 @dataclass(frozen=True, slots=True)
 class Bucket:
     weight: int
@@ -146,7 +142,6 @@ class Bucket:
 class GroupEntry:
     group_id: int
     buckets: tuple[Bucket, ...]
-    group_type: GroupType = GroupType.SELECT
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,10 +209,6 @@ class Switch:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def clock_ns(self) -> int:
-        return self._clock_ns
-
     def active_entry_count(self, priority: int | None = None) -> int:
         if priority is None:
             return len(self._entries)
@@ -225,10 +216,6 @@ class Switch:
 
     def get_entry(self, entry_id: int) -> FlowEntry | None:
         return self._entries.get(entry_id)
-
-    def flow_stats(self) -> list[FlowEntry]:
-        """Read-only counter snapshot of every active entry (poll analogue)."""
-        return [replace(self._entries[eid]) for eid in sorted(self._entries)]
 
     # -- table management ---------------------------------------------------
 
@@ -259,14 +246,6 @@ class Switch:
             heapq.heappush(self._expiry_heap, (_expiry_of(live)[0], eid))
         return eid
 
-    def remove_flow_entry(self, entry_id: int) -> FlowEntry:
-        """Explicitly delete an entry (no FlowRemoved event)."""
-        entry = self._entries.get(entry_id)
-        if entry is None:
-            raise SwitchError(f"no entry with id {entry_id}")
-        self._remove_entry(entry_id)
-        return entry
-
     def install_group(self, group: GroupEntry) -> int:
         if group.group_id in self._groups:
             raise GroupError(f"group {group.group_id} already installed")
@@ -276,11 +255,6 @@ class Switch:
             raise GroupError(f"group {group.group_id} has a non-positive bucket weight")
         self._groups[group.group_id] = group
         return group.group_id
-
-    def remove_group(self, group_id: int) -> None:
-        if group_id not in self._groups:
-            raise GroupError(f"no group with id {group_id}")
-        del self._groups[group_id]
 
     # -- time ---------------------------------------------------------------
 
@@ -299,14 +273,14 @@ class Switch:
         self._clock_ns = now_ns
         return events
 
-    def flush_all(self, now_ns: int, priority: int = FLOW_RECORD_PRIORITY) -> list[FlowRemoved]:
-        """Drain every entry of one priority block, default block 1.
+    def flush_all(self, now_ns: int) -> list[FlowRemoved]:
+        """Drain every per-flow record entry (block 1).
 
         Emits FlowRemoved(DELETE) for entries that asked for notification.
         Sampling and catch-all entries are untouched.
         """
         victims = sorted(
-            eid for eid, e in self._entries.items() if e.priority == priority
+            eid for eid, e in self._entries.items() if e.priority == FLOW_RECORD_PRIORITY
         )
         events = []
         for eid in victims:

@@ -47,6 +47,7 @@ from ofmon.switch import (
     GotoTable,
     MatchFields,
     Switch,
+    TableStateError,
 )
 from ofmon.traceio import ExponentialGap, Fixed, FixedGap, Geometric, UniformRandom, ZipfSkewed
 
@@ -338,7 +339,13 @@ def _prop_priority_soundness(data):
         winner = max(matching, key=lambda e: (e.priority, -e.install_time_ns, -e.entry_id),
                      default=None)
         before = {i: sw.get_entry(i).packet_count for i in ids}
-        sw.process_packet(p)
+        if winner is None:
+            # a reinstall dated t=1 replaced the catch-all, so at t=0 nothing
+            # matches, which the switch reports as corrupt table state
+            with pytest.raises(TableStateError):
+                sw.process_packet(p)
+        else:
+            sw.process_packet(p)
         for i in ids:
             bump = 1 if winner is not None and i == winner.entry_id else 0
             assert sw.get_entry(i).packet_count == before[i] + bump

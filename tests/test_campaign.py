@@ -1,5 +1,7 @@
 """Campaign loading, validation, outputs, and rerun determinism."""
 
+import csv
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +33,21 @@ BASE = {
     "experiments": ["rate", "wmrd", "overhead", "export"],
     "overhead": {"delays_ms": [0, 5]},
     "export": {"format": "csv"},
+}
+
+
+# SHA-256 of every file a BASE campaign writes.  A refactor must keep them;
+# a change that alters an output byte must say so and record new digests.
+BASE_DIGESTS = {
+    "manifest.json": "1b7a487d238d9d1b69226c373ec222fd176f67f754d3e9e6c3aa047fd4cf3f28",
+    "overhead_results.csv": "c1f40ad48d55e45e03eff9e8cdf9954a4d48f8cee7d6a3686475c903957da9f8",
+    "rate_results.csv": "adba87c3598c796ea3869d1b10e6fd732bd6a08e6409fe52a2f283c67b795473",
+    "rate_summary.json": "59b0646aa5327c871452e3ca3190bf9c68c3a15ee0ed7b28408f3290a3774af0",
+    "records_hash_source.csv": "7b3afe1df325c7a6bb8ea24cdda0faa70022345ef70ea431be172d47429c1598",
+    "records_ip-suffix_source.csv":
+        "afb73656681d9dc7f3b3ba75187861f064932be521b4a2271760843df3893959",
+    "wmrd_results.csv": "25d1a19e79fe67ed10609b0d1be4fee7530686f531aad81f4bfe74f735077913",
+    "wmrd_summary.json": "64bfa5ef8dc5dfe2c1acfd30e27d489e7bf989f10aa5fec3c1e97c138f66468b",
 }
 
 
@@ -117,6 +134,14 @@ class TestLoadCampaign:
         with pytest.raises(ConfigError):
             load_campaign(write_config(tmp_path, overrides, drop))
 
+    def test_overhead_rate_below_one_needs_a_single_sampling_entry(self, tmp_path):
+        overrides = {"overhead": {"delays_ms": [0, 5], "rate": "1/2"}}
+        with pytest.raises(ConfigError, match="overhead/rate"):
+            load_campaign(write_config(tmp_path, overrides))
+        # without the overhead experiment the rate is unused, so it stays valid
+        overrides["experiments"] = ["rate"]
+        assert load_campaign(write_config(tmp_path, overrides)).overhead_rate == Fraction(1, 2)
+
     def test_unreadable_and_unparsable_files(self, tmp_path):
         with pytest.raises(ConfigError):
             load_campaign(str(tmp_path / "missing.json"))
@@ -167,3 +192,27 @@ class TestRunCampaign:
         pooled, _ = self.run(tmp_path, "w2", {"workers": 2})
         for a, b in zip(sorted(serial), sorted(pooled)):
             assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_overhead_at_a_rate_below_one_samples_part_of_the_flows(self, tmp_path):
+        _, out = self.run(tmp_path, "o", {
+            "sampling": [{"method": "ip-suffix"}],
+            "experiments": ["overhead"],
+            "overhead": {"delays_ms": [0, 5], "rate": "1/2"},
+        })
+        with open(out / "overhead_results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        flows = {}
+        for row in rows:
+            delay = row["install_delay_ns"]
+            flows[delay] = flows.get(delay, 0) + int(row["flows"])
+        assert set(flows) == {"0", "5000000"}
+        # one drawn suffix bit: some flows but not all 400, the same at every delay
+        assert 0 < flows["0"] < 400
+        assert flows["0"] == flows["5000000"]
+
+    def test_outputs_match_the_recorded_digests(self, tmp_path):
+        written, _ = self.run(tmp_path, "g")
+        digests = {
+            Path(w).name: hashlib.sha256(Path(w).read_bytes()).hexdigest() for w in written
+        }
+        assert digests == BASE_DIGESTS

@@ -146,6 +146,22 @@ class TestCampaignCommand:
         assert main(["campaign", str(path), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err
 
+    def test_bad_worker_variable_is_exit_2_and_named(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "seed": 3,
+            "trace": {"synthetic": {"flows": 10, "seed": 2}},
+            "sampling": [{"method": "hash"}],
+            "rates": ["1/4"],
+            "trials": 1,
+            "experiments": ["rate"],
+        }))
+        monkeypatch.setenv("OFMON_WORKERS", "abc")
+        assert main(["campaign", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "OFMON_WORKERS" in err
+        assert "abc" in err
+
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["campaign", str(tmp_path / "ghost.json"),
                      "--out", str(tmp_path / "r")]) == 2

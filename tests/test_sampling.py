@@ -242,6 +242,15 @@ class TestRateSolver:
                                   Fraction(1, denom))
             assert generate_rules(cfg).theoretical_rate == Fraction(1, denom)
 
+    def test_hash_expresses_any_rational_rate_exactly(self):
+        for q in range(1, 65):
+            for p in range(1, q + 1):
+                cfg = config_for_rate(SamplingMethod.HASH_BASED, SamplingMode.SOURCE_ONLY,
+                                      Fraction(p, q))
+                rules = generate_rules(cfg)
+                assert rules.theoretical_rate == Fraction(p, q), (p, q)
+                assert theoretical_rate(rules) == Fraction(p, q), (p, q)  # read off the buckets
+
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2), Fraction(3, 2)])
     def test_rejects_rates_outside_unit_interval(self, bad):
         with pytest.raises(ValueError):

@@ -344,14 +344,6 @@ class TestGroups:
         assert [type(ev) for ev in sw.process_packet(sampled)] == [PacketIn]
         assert sw.process_packet(dropped) == []
 
-    def test_remove_group(self):
-        sw = Switch()
-        sw.install_group(self.group(1))
-        sw.remove_group(1)
-        sw.install_group(self.group(2))  # id free again
-        with pytest.raises(GroupError):
-            sw.remove_group(42)
-
 
 class TestPipelineInvariants:
     def test_every_packet_reaches_table_1_exactly_once(self):
