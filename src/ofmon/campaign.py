@@ -453,7 +453,7 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
             trace,
             config.overhead_delays_ns,
             sampling=sampling_cfg,
-            idle_timeout_ns=config.controller.idle_timeout_ns,
+            controller_config=config.controller,
         )
         rows = [
             [p.install_delay_ns, p.protocol.name, p.flows, p.redundant_packets,

@@ -100,23 +100,10 @@ class ScheduledFlowMod:
 
 @dataclass(slots=True)
 class _ActiveFlow:
-    entry_id: int
     first_seen_ns: int
     controller_packets: int
     controller_bytes: int
     last_controller_packet_ns: int
-
-
-def _key_of_exact(match: MatchFields) -> FlowKey:
-    if (
-        match.src_ip is None
-        or match.dst_ip is None
-        or match.src_port is None
-        or match.dst_port is None
-        or match.protocol is None
-    ):
-        raise ControllerStateError(f"record entry match is not an exact 5-tuple: {match}")
-    return FlowKey(match.src_ip, match.dst_ip, match.src_port, match.dst_port, match.protocol)
 
 
 class MonitoringController:
@@ -175,13 +162,12 @@ class MonitoringController:
             entry=entry,
         )
 
-    def on_flow_mod_installed(self, key: FlowKey, entry_id: int) -> None:
+    def on_flow_mod_installed(self, key: FlowKey) -> None:
         """Acknowledge that the scheduled entry for `key` is now in the table."""
         pending = self._pending.pop(key, None)
         if pending is None:
             raise ControllerStateError(f"install acknowledged for unknown flow {key}")
         self._active[key] = _ActiveFlow(
-            entry_id=entry_id,
             first_seen_ns=pending.first_packet_ns,
             controller_packets=1 + pending.redundant_packets,
             controller_bytes=pending.first_packet_bytes + pending.redundant_bytes,
@@ -190,7 +176,11 @@ class MonitoringController:
 
     def on_flow_removed(self, event: FlowRemoved) -> FlowRecord:
         """Close the record for an evicted entry, merging both counter views."""
-        key = _key_of_exact(event.entry.match)
+        key = event.entry.match.exact_key()
+        if key is None:
+            raise ControllerStateError(
+                f"record entry match is not an exact 5-tuple: {event.entry.match}"
+            )
         state = self._active.pop(key, None)
         if state is None:
             raise ControllerStateError(f"flow-removed for flow {key} this controller does not own")

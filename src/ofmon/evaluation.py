@@ -239,21 +239,21 @@ def run_overhead_experiment(
     trace: Sequence[PacketRecord],
     delays_ns: Sequence[int],
     sampling: SamplingConfig | None = None,
-    idle_timeout_ns: int | None = None,
+    controller_config: ControllerConfig | None = None,
 ) -> list[OverheadPoint]:
     """Redundant packets/bytes as a function of the entry install delay.
 
     Default sampling is an all-flows rule (rate 1), matching how the install
-    window hurts worst-case.  Redundant bytes are reported relative to the
-    total trace bytes of the sampled flows, per protocol.
+    window hurts worst-case.  Each delay replaces the install delay of
+    controller_config; its timeouts apply as given.  Redundant bytes are
+    reported relative to the total trace bytes of the sampled flows, per
+    protocol.
     """
     cfg = sampling or SamplingConfig(method=SamplingMethod.IP_SUFFIX)
+    cc = controller_config or ControllerConfig()
     points = []
     for delay in delays_ns:
-        cc_kwargs = {"install_delay_ns": delay}
-        if idle_timeout_ns is not None:
-            cc_kwargs["idle_timeout_ns"] = idle_timeout_ns
-        result = Simulation(cfg, ControllerConfig(**cc_kwargs), track_flows=False).run(trace)
+        result = Simulation(cfg, replace(cc, install_delay_ns=delay), track_flows=False).run(trace)
         flows_by_proto: Counter = Counter()
         bytes_by_proto: Counter = Counter()
         seen = set()

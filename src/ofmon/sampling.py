@@ -4,8 +4,9 @@ Three ways to pick which flows get mirrored to the controller:
 
 * ip-suffix: one wildcarded entry matching the low bits of the address(es);
   a flow is sampled iff its address suffix equals the drawn value.
-* port: entries matching drawn port values, installed for TCP and UDP alike;
-  a flow is sampled iff its port (or port pair) was drawn.
+* port: one entry per protocol (TCP and UDP) matching the drawn port set(s);
+  a flow is sampled iff its port (or port pair) was drawn.  A hardware
+  switch would pay one entry per drawn port, which RuleSet records.
 * hash: a select group splits flows between a controller-mirror bucket and a
   pass bucket in proportion to the bucket weights, keyed on the 5-tuple.
 
@@ -14,7 +15,6 @@ Rates are carried as exact fractions, never floats.
 
 import enum
 import hashlib
-import logging
 import math
 import random
 import struct
@@ -33,8 +33,6 @@ from .switch import (
     OutputToController,
     SAMPLING_PRIORITY,
 )
-
-log = logging.getLogger(__name__)
 
 PORT_SPACE = 65535  # sampled ports are drawn from 1..65535; 0 is reserved
 HASH_GROUP_ID = 1
@@ -92,12 +90,12 @@ class SamplingConfig:
 class RuleSet:
     """Generated table-0 block-2 content plus its exact sampling rate.
 
+    The port method generates one composite entry per protocol in both modes:
+    the drawn source set, plus the drawn destination set in pair mode.
     entries_per_protocol is the flow-table cost a hardware switch would pay
     per transport protocol: the drawn port count (or the two-stage sum
-    src+dst in pair mode) for the port method, otherwise just the number of
-    generated entries.  The pair-mode port predicate itself is folded into
-    one composite entry per protocol rather than materializing the
-    src x dst cross-product.
+    src+dst in pair mode, not the src x dst cross-product) for the port
+    method, otherwise just the number of generated entries.
     """
 
     config: SamplingConfig
@@ -158,15 +156,13 @@ def gen_ip_suffix_rules(config: SamplingConfig) -> RuleSet:
     """One wildcarded entry matching drawn low address bits.
 
     Sampling rate 1 / 2^(src_size + dst_size); zero total bits degenerates to
-    rate 1 (match everything), which is allowed but warned about.
+    rate 1 (match everything).
     """
     if config.method is not SamplingMethod.IP_SUFFIX:
         raise ValueError(f"wrong method {config.method} for suffix rules")
     config.validate()
     bits_src = config.src_size
     bits_dst = config.dst_size
-    if bits_src + bits_dst == 0:
-        log.warning("ip-suffix rule with 0 mask bits matches every flow (rate 1)")
     rng = random.Random(config.seed)
     fields: dict = {}
     if bits_src > 0:
@@ -190,8 +186,8 @@ def gen_ip_suffix_rules(config: SamplingConfig) -> RuleSet:
 
 
 def gen_port_rules(config: SamplingConfig) -> RuleSet:
-    """Entries for src_size drawn source ports (and dst_size destination
-    ports in pair mode), duplicated for TCP and UDP.
+    """One composite entry per protocol (TCP and UDP) for src_size drawn
+    source ports, and in pair mode dst_size drawn destination ports too.
 
     Source-only rate: src_size / 65535.  Pair rate: src*dst / 65535^2, with
     the pair check modeled as the two-stage src-then-dst scheme whose
@@ -203,43 +199,27 @@ def gen_port_rules(config: SamplingConfig) -> RuleSet:
     config.validate()
     m = config.src_size
     n = config.dst_size
-    if m == 0 or (config.mode is SamplingMode.PAIR and n == 0):
+    pair = config.mode is SamplingMode.PAIR
+    if m == 0 or (pair and n == 0):
         raise ValueError("port sampling needs at least one port on every matched side")
     rng = random.Random(config.seed)
-    src_ports = sorted(rng.sample(range(1, PORT_SPACE + 1), m))
-    entries = []
-    if config.mode is SamplingMode.SOURCE_ONLY:
-        for proto in (Protocol.TCP, Protocol.UDP):  # same drawn set for both
-            for port in src_ports:
-                entries.append(
-                    FlowEntry(
-                        match=MatchFields(protocol=proto, src_port=port),
-                        priority=SAMPLING_PRIORITY,
-                        actions=_SAMPLE_THEN_FORWARD,
-                    )
-                )
-        rate = Fraction(m, PORT_SPACE)
-        per_protocol = m
-    else:
-        dst_ports = sorted(rng.sample(range(1, PORT_SPACE + 1), n))
-        src_set = frozenset(src_ports)
-        dst_set = frozenset(dst_ports)
-        for proto in (Protocol.TCP, Protocol.UDP):
-            entries.append(
-                FlowEntry(
-                    match=MatchFields(protocol=proto, src_port_in=src_set, dst_port_in=dst_set),
-                    priority=SAMPLING_PRIORITY,
-                    actions=_SAMPLE_THEN_FORWARD,
-                )
-            )
-        rate = Fraction(m * n, PORT_SPACE * PORT_SPACE)
-        per_protocol = m + n
+    src_set = frozenset(rng.sample(range(1, PORT_SPACE + 1), m))
+    dst_set = frozenset(rng.sample(range(1, PORT_SPACE + 1), n)) if pair else None
+    rate = Fraction(m * n, PORT_SPACE * PORT_SPACE) if pair else Fraction(m, PORT_SPACE)
+    entries = tuple(
+        FlowEntry(
+            match=MatchFields(protocol=proto, src_port_in=src_set, dst_port_in=dst_set),
+            priority=SAMPLING_PRIORITY,
+            actions=_SAMPLE_THEN_FORWARD,
+        )
+        for proto in (Protocol.TCP, Protocol.UDP)  # same drawn sets for both
+    )
     return RuleSet(
         config=config,
-        flow_entries=tuple(entries),
+        flow_entries=entries,
         groups=(),
         theoretical_rate=rate,
-        entries_per_protocol=per_protocol,
+        entries_per_protocol=m + n,
     )
 
 
@@ -298,17 +278,13 @@ def theoretical_rate(rule_set: RuleSet) -> Fraction:
         )
         total = sum(b.weight for b in group.buckets)
         return Fraction(mirror, total)
-    entries = rule_set.flow_entries
-    tcp_entries = [e for e in entries if e.match.protocol is Protocol.TCP]
-    if tcp_entries:
-        composite = tcp_entries[0].match
-        if composite.src_port_in is not None:
-            return Fraction(
-                len(composite.src_port_in) * len(composite.dst_port_in or ()),
-                PORT_SPACE * PORT_SPACE,
-            )
-        return Fraction(len({e.match.src_port for e in tcp_entries}), PORT_SPACE)
-    match = entries[0].match
+    match = rule_set.flow_entries[0].match
+    if match.src_port_in is not None:
+        if match.dst_port_in is None:
+            return Fraction(len(match.src_port_in), PORT_SPACE)
+        return Fraction(
+            len(match.src_port_in) * len(match.dst_port_in), PORT_SPACE * PORT_SPACE
+        )
     bits = 0
     if match.src_ip is not None:
         bits += match.src_ip_mask.bit_count()

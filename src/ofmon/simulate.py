@@ -78,8 +78,8 @@ class Simulation:
             ts = pkt.timestamp_ns
             while pending_mods and pending_mods[0][0] <= ts:
                 _, _, mod = heapq.heappop(pending_mods)
-                eid = switch.install_flow_entry(mod.entry, mod.execute_at_ns)
-                controller.on_flow_mod_installed(mod.key, eid)
+                switch.install_flow_entry(mod.entry, mod.execute_at_ns)
+                controller.on_flow_mod_installed(mod.key)
                 installs += 1
                 occupancy = switch.active_entry_count(FLOW_RECORD_PRIORITY)
                 if occupancy > peak:

@@ -10,6 +10,7 @@ and expired entries are evicted lazily but with their exact expiry instant,
 so results do not depend on how often the clock happens to advance.
 """
 
+import bisect
 import enum
 import heapq
 from collections import Counter
@@ -69,6 +70,22 @@ class MatchFields:
             dst_port=key.dst_port,
             protocol=key.protocol,
         )
+
+    def exact_key(self) -> FlowKey | None:
+        """The 5-tuple this match covers alone, or None if it is a wildcard."""
+        if (
+            self.src_ip is None
+            or self.dst_ip is None
+            or self.src_ip_mask != _FULL_MASK
+            or self.dst_ip_mask != _FULL_MASK
+            or self.src_port is None
+            or self.dst_port is None
+            or self.protocol is None
+            or self.src_port_in is not None
+            or self.dst_port_in is not None
+        ):
+            return None
+        return FlowKey(self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
 
     def matches(self, pkt: PacketRecord) -> bool:
         if self.src_ip is not None and (pkt.src_ip & self.src_ip_mask) != (
@@ -183,6 +200,14 @@ def _expiry_of(entry: FlowEntry) -> tuple[int, FlowRemovedReason] | None:
     return idle, FlowRemovedReason.IDLE
 
 
+def _rank(entry: FlowEntry) -> tuple[int, int, int]:
+    """Lookup order, best first: priority, then earlier install, then older id."""
+    return -entry.priority, entry.install_time_ns, entry.entry_id
+
+
+_Ranked = tuple[tuple[int, int, int], FlowEntry]  # (_rank(entry), entry)
+
+
 class Switch:
     """Two-table pipeline with select groups and timeout-driven eviction."""
 
@@ -190,14 +215,10 @@ class Switch:
         self._selector = bucket_selector
         self._entries: dict[int, FlowEntry] = {}
         self._by_match: dict[tuple[MatchFields, int], int] = {}
-        # match indexes; semantics stay identical to a linear scan, these only
-        # narrow which entries need to be inspected per packet
-        self._exact: dict[FlowKey, list[int]] = {}
-        self._by_sport: dict[tuple[Protocol, int], list[int]] = {}
-        self._by_dport: dict[tuple[Protocol, int], list[int]] = {}
-        self._generic: list[int] = []
-        self._inexact_priorities: Counter[int] = Counter()
-        self._inexact_max = -1
+        # Match indexes, both best-first by _rank; a packet takes the first
+        # active entry of their merge, which is what a linear scan would pick.
+        self._exact: dict[FlowKey, list[_Ranked]] = {}
+        self._wildcard: list[_Ranked] = []
         self._groups: dict[int, GroupEntry] = {}
         self._expiry_heap: list[tuple[int, int]] = []
         self._clock_ns = 0
@@ -209,9 +230,7 @@ class Switch:
 
     # -- queries ------------------------------------------------------------
 
-    def active_entry_count(self, priority: int | None = None) -> int:
-        if priority is None:
-            return len(self._entries)
+    def active_entry_count(self, priority: int) -> int:
         return self._priority_counts[priority]
 
     def get_entry(self, entry_id: int) -> FlowEntry | None:
@@ -241,9 +260,12 @@ class Switch:
         self._entries[eid] = live
         self._by_match[(live.match, live.priority)] = eid
         self._priority_counts[live.priority] += 1
-        self._index_entry(live)
-        if _expiry_of(live) is not None:
-            heapq.heappush(self._expiry_heap, (_expiry_of(live)[0], eid))
+        key = live.match.exact_key()
+        index = self._wildcard if key is None else self._exact.setdefault(key, [])
+        bisect.insort(index, (_rank(live), live))
+        expiry = _expiry_of(live)
+        if expiry is not None:
+            heapq.heappush(self._expiry_heap, (expiry[0], eid))
         return eid
 
     def install_group(self, group: GroupEntry) -> int:
@@ -309,16 +331,7 @@ class Switch:
         self._clock_ns = ts
         key = FlowKey(pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.protocol)
 
-        entry: FlowEntry | None = None
-        ids = self._exact.get(key)
-        if ids:
-            cand = self._entries[ids[0]]
-            # exact lists are kept best-first; a strict priority win needs no
-            # tie-break against the inexact entries
-            if cand.priority > self._inexact_max and cand.install_time_ns <= ts:
-                entry = cand
-        if entry is None:
-            entry = self._lookup(pkt, key, ts)
+        entry = self._lookup(pkt, key, ts)
         if entry is None:
             raise TableStateError(
                 f"packet at {ts}ns matched nothing in table 0: catch-all entry missing"
@@ -372,120 +385,32 @@ class Switch:
         return forwarded
 
     def _lookup(self, pkt: PacketRecord, key: FlowKey, ts: int) -> FlowEntry | None:
-        best: FlowEntry | None = None
-        best_rank: tuple[int, int, int] | None = None
-
-        def consider(e: FlowEntry) -> None:
-            nonlocal best, best_rank
-            rank = (e.priority, -e.install_time_ns, -e.entry_id)
-            if best_rank is None or rank > best_rank:
+        """First entry active at ts that matches pkt, in _rank order."""
+        best = None
+        best_rank = None
+        for rank, e in self._exact.get(key, ()):  # match holds by key equality
+            if e.install_time_ns <= ts:
                 best, best_rank = e, rank
-
-        ids = self._exact.get(key)
-        if ids:
-            for eid in ids:  # match holds by key equality
-                e = self._entries[eid]
-                if e.install_time_ns <= ts:
-                    consider(e)
-        for index, field in ((self._by_sport, pkt.src_port), (self._by_dport, pkt.dst_port)):
-            lst = index.get((pkt.protocol, field))
-            if lst:
-                for eid in lst:  # match holds by index construction
-                    e = self._entries[eid]
-                    if e.install_time_ns <= ts:
-                        consider(e)
-        for eid in self._generic:
-            e = self._entries[eid]
+                break
+        for rank, e in self._wildcard:
+            if best_rank is not None and rank > best_rank:
+                break
             if e.install_time_ns <= ts and e.match.matches(pkt):
-                consider(e)
+                return e
         return best
-
-    def _classify(self, m: MatchFields) -> tuple[str, object]:
-        if (
-            m.src_ip is not None
-            and m.dst_ip is not None
-            and m.src_ip_mask == _FULL_MASK
-            and m.dst_ip_mask == _FULL_MASK
-            and m.src_port is not None
-            and m.dst_port is not None
-            and m.protocol is not None
-            and m.src_port_in is None
-            and m.dst_port_in is None
-        ):
-            return "exact", FlowKey(m.src_ip, m.dst_ip, m.src_port, m.dst_port, m.protocol)
-        only_sport = (
-            m.protocol is not None
-            and m.src_port is not None
-            and m.src_ip is None
-            and m.dst_ip is None
-            and m.dst_port is None
-            and m.src_port_in is None
-            and m.dst_port_in is None
-        )
-        if only_sport:
-            return "sport", (m.protocol, m.src_port)
-        only_dport = (
-            m.protocol is not None
-            and m.dst_port is not None
-            and m.src_ip is None
-            and m.dst_ip is None
-            and m.src_port is None
-            and m.src_port_in is None
-            and m.dst_port_in is None
-        )
-        if only_dport:
-            return "dport", (m.protocol, m.dst_port)
-        return "generic", None
-
-    def _index_entry(self, e: FlowEntry) -> None:
-        kind, where = self._classify(e.match)
-        if kind == "exact":
-            lst = self._exact.setdefault(where, [])
-            lst.append(e.entry_id)
-            lst.sort(key=lambda i: (
-                -self._entries[i].priority,
-                self._entries[i].install_time_ns,
-                i,
-            ))
-            return
-        if kind == "sport":
-            self._by_sport.setdefault(where, []).append(e.entry_id)
-        elif kind == "dport":
-            self._by_dport.setdefault(where, []).append(e.entry_id)
-        else:
-            self._generic.append(e.entry_id)
-        self._inexact_priorities[e.priority] += 1
-        if e.priority > self._inexact_max:
-            self._inexact_max = e.priority
 
     def _remove_entry(self, eid: int) -> None:
         e = self._entries.pop(eid)
         del self._by_match[(e.match, e.priority)]
         self._priority_counts[e.priority] -= 1
-        kind, where = self._classify(e.match)
-        if kind == "exact":
-            lst = self._exact[where]
-            lst.remove(eid)
-            if not lst:
-                del self._exact[where]
+        key = e.match.exact_key()
+        if key is None:
+            self._wildcard.remove((_rank(e), e))
             return
-        if kind == "sport":
-            lst = self._by_sport[where]
-            lst.remove(eid)
-            if not lst:
-                del self._by_sport[where]
-        elif kind == "dport":
-            lst = self._by_dport[where]
-            lst.remove(eid)
-            if not lst:
-                del self._by_dport[where]
-        else:
-            self._generic.remove(eid)
-        self._inexact_priorities[e.priority] -= 1
-        if self._inexact_priorities[e.priority] == 0:
-            del self._inexact_priorities[e.priority]
-            if e.priority == self._inexact_max:
-                self._inexact_max = max(self._inexact_priorities, default=-1)
+        lst = self._exact[key]
+        lst.remove((_rank(e), e))
+        if not lst:
+            del self._exact[key]
 
     def _evict_expired(self, now_ns: int) -> list[FlowRemoved]:
         heap = self._expiry_heap

@@ -15,6 +15,7 @@ from ofmon.campaign import (
     parse_rate,
     run_campaign,
 )
+from ofmon.evaluation import run_overhead_experiment
 from ofmon.model import flow_key_of
 from ofmon.sampling import SamplingMethod, SamplingMode
 from ofmon.traceio import write_csv_trace
@@ -209,6 +210,35 @@ class TestRunCampaign:
         # one drawn suffix bit: some flows but not all 400, the same at every delay
         assert 0 < flows["0"] < 400
         assert flows["0"] == flows["5000000"]
+
+    def test_overhead_sweep_applies_the_hard_timeout(self, tmp_path):
+        # 20-packet flows 1 ms apart, installs 2 ms late: a 5 ms hard timeout
+        # evicts each record entry twice mid-flow, and each reinstall window
+        # adds redundant PacketIns
+        overrides = {
+            "trace": {"synthetic": {"flows": 50, "sizes": {"kind": "fixed", "packets": 20},
+                                    "gaps": {"kind": "fixed", "gap_ms": 1}, "seed": 1}},
+            "experiments": ["overhead"],
+            "overhead": {"delays_ms": [0, 2]},
+        }
+        _, soft = self.run(tmp_path, "soft", {**overrides, "timeouts": {"idle_ms": 5}})
+        hard_config = load_campaign(write_config(
+            tmp_path, {**overrides, "timeouts": {"idle_ms": 5, "hard_ms": 5}}, name="hard.json"))
+        run_campaign(hard_config, str(tmp_path / "hard"), **QUIET)
+        hard_csv = (tmp_path / "hard" / "overhead_results.csv").read_text()
+        assert hard_csv != (soft / "overhead_results.csv").read_text()
+        points = run_overhead_experiment(
+            hard_config.load_trace(), hard_config.overhead_delays_ns,
+            controller_config=hard_config.controller,
+        )
+        direct = [
+            [str(v) for v in (p.install_delay_ns, p.protocol.name, p.flows, p.redundant_packets,
+                              p.mean_redundant_packets_per_flow, p.redundant_bytes,
+                              p.total_flow_bytes, p.redundant_byte_percent)]
+            for p in points
+        ]
+        assert list(csv.reader(hard_csv.splitlines()))[1:] == direct
+        assert sum(p.redundant_packets for p in points if p.install_delay_ns) == 150
 
     def test_outputs_match_the_recorded_digests(self, tmp_path):
         written, _ = self.run(tmp_path, "g")

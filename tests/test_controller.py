@@ -92,7 +92,7 @@ class TestPacketInHandling:
         ctl = MonitoringController(cc())
         p = pkt()
         mod = ctl.on_packet_in(PacketIn(packet=p, table_id=0))
-        ctl.on_flow_mod_installed(mod.key, entry_id=5)
+        ctl.on_flow_mod_installed(mod.key)
         with pytest.raises(ControllerStateError):
             ctl.on_packet_in(PacketIn(packet=pkt(ts=1), table_id=0))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofmon.model import Protocol, flow_key_of
+from ofmon.model import FlowKey, Protocol, flow_key_of
 from ofmon.switch import (
     DEFAULT_PRIORITY,
     FLOW_RECORD_PRIORITY,
@@ -37,6 +37,31 @@ GOTO = (GotoTable(),)
 
 def entry(match=None, priority=DEFAULT_PRIORITY, actions=GOTO, **kw):
     return FlowEntry(match=match or MatchFields(), priority=priority, actions=actions, **kw)
+
+
+def random_entry(rng, keys):
+    """A table-0 entry over a small field space, so entries overlap often."""
+    kind = rng.random()
+    if kind < 0.25:
+        match = MatchFields.exact(rng.choice(keys))
+    else:
+        fields = {}
+        if rng.random() < 0.5:
+            fields["protocol"] = rng.choice([Protocol.TCP, Protocol.UDP])
+        if kind < 0.5:
+            fields["src_port_in"] = frozenset(rng.sample(range(1, 9), rng.randint(1, 4)))
+            if rng.random() < 0.5:
+                fields["dst_port_in"] = frozenset(rng.sample(range(1, 9), rng.randint(1, 4)))
+        else:
+            if rng.random() < 0.4:
+                fields["src_port"] = rng.randint(1, 8)
+            if rng.random() < 0.4:
+                fields["dst_port"] = rng.randint(1, 8)
+            if rng.random() < 0.3:
+                fields["src_ip"] = rng.randint(0, 3)
+                fields["src_ip_mask"] = 0x3
+        match = MatchFields(**fields)
+    return entry(match, priority=rng.randint(0, 5))
 
 
 def switch_with_default():
@@ -116,45 +141,46 @@ class TestPriorityOrder:
         assert sw.get_entry(late).packet_count == 1
 
     def test_lookup_agrees_with_brute_force(self):
-        # random overlapping entries vs a naive max() oracle
-        rng = random.Random(7)
-        sw = Switch()
-        installed = []
-        for i in range(120):
-            fields = {}
-            if rng.random() < 0.5:
-                fields["protocol"] = rng.choice([Protocol.TCP, Protocol.UDP])
-            if rng.random() < 0.4:
-                fields["src_port"] = rng.randint(1, 8)
-            if rng.random() < 0.4:
-                fields["dst_port"] = rng.randint(1, 8)
-            if rng.random() < 0.3:
-                fields["src_ip"] = rng.randint(0, 3)
-                fields["src_ip_mask"] = 0x3
-            e = entry(MatchFields(**fields), priority=rng.randint(0, 5))
-            eid = sw.install_flow_entry(e, install_time_ns=i % 3)
-            installed.append(eid)
-        sw.install_flow_entry(entry(), install_time_ns=0)
-        # duplicate (match, priority) draws replaced their predecessors
-        installed = [eid for eid in installed if sw.get_entry(eid) is not None]
-        for ts in range(200):
-            p = pkt(ts=ts + 10, src=rng.randint(0, 7), sport=rng.randint(1, 8),
-                    dport=rng.randint(1, 8),
-                    proto=rng.choice([Protocol.TCP, Protocol.UDP]))
-            before = {eid: sw.get_entry(eid).packet_count for eid in installed}
-            candidates = [
-                sw.get_entry(eid) for eid in installed
-                if sw.get_entry(eid).match.matches(p)
+        # random overlapping entries vs a naive max() oracle: exact and
+        # wildcard entries at tied priorities, port sets, installs between
+        # packets and installs that are not active yet
+        for seed in range(40):
+            rng = random.Random(seed)
+            keys = [
+                FlowKey(rng.randint(0, 7), rng.randint(1, 2), rng.randint(1, 8),
+                        rng.randint(1, 8), rng.choice([Protocol.TCP, Protocol.UDP]))
+                for _ in range(12)
             ]
-            winner = max(
-                candidates,
-                key=lambda e: (e.priority, -e.install_time_ns, -e.entry_id),
-                default=None,
-            )
-            sw.process_packet(p)
-            for eid in installed:
-                expect = before[eid] + (1 if winner is not None and eid == winner.entry_id else 0)
-                assert sw.get_entry(eid).packet_count == expect
+            sw = Switch()
+            installed = []
+            if rng.random() < 0.5:  # else some packets match nothing
+                installed.append(sw.install_flow_entry(entry(), install_time_ns=0))
+            for i in range(rng.randint(0, 40)):
+                installed.append(sw.install_flow_entry(random_entry(rng, keys),
+                                                       install_time_ns=i % 3))
+            for ts in range(10, 410, 2):
+                if rng.random() < 0.3:
+                    installed.append(sw.install_flow_entry(
+                        random_entry(rng, keys), install_time_ns=ts + rng.randint(-1, 2)))
+                k = rng.choice(keys)
+                p = pkt(ts=ts, src=k.src_ip, dst=k.dst_ip, sport=k.src_port,
+                        dport=k.dst_port, proto=k.protocol)
+                # duplicate (match, priority) draws replaced their predecessors
+                live = [e for e in map(sw.get_entry, installed) if e is not None]
+                before = {e.entry_id: e.packet_count for e in live}
+                winner = max(
+                    (e for e in live if e.install_time_ns <= ts and e.match.matches(p)),
+                    key=lambda e: (e.priority, -e.install_time_ns, -e.entry_id),
+                    default=None,
+                )
+                if winner is None:
+                    with pytest.raises(TableStateError):
+                        sw.process_packet(p)
+                else:
+                    sw.process_packet(p)
+                for e in live:
+                    hit = winner is not None and e.entry_id == winner.entry_id
+                    assert e.packet_count == before[e.entry_id] + hit
 
 
 class TestCounters:
