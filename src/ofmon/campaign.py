@@ -347,17 +347,32 @@ def load_campaign(path: str) -> CampaignConfig:
     )
 
 
-def _run_cell(job):
-    experiment, args = job
+def _run_cell(trace: list, job: tuple):
+    experiment, *args = job
     run = run_rate_experiment if experiment == "rate" else run_wmrd_experiment
-    return run(*args)
+    return run(trace, *args)
 
 
-def _run_cells(jobs, workers: int):
+_worker_trace: list | None = None  # set once in each pool worker, never in the parent
+
+
+def _init_worker(trace: list) -> None:
+    global _worker_trace
+    _worker_trace = trace
+
+
+def _run_worker_cell(job: tuple):
+    return _run_cell(_worker_trace, job)
+
+
+def _run_cells(trace: list, jobs: list, workers: int):
+    """Run every job; a pool receives the trace once per worker, not per job."""
     if workers <= 1 or len(jobs) <= 1:
-        return [_run_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, jobs))
+        return [_run_cell(trace, job) for job in jobs]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(trace,)
+    ) as pool:
+        return list(pool.map(_run_worker_cell, jobs))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -433,11 +448,10 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
         if experiment not in config.experiments:
             continue
         jobs = [
-            (experiment, (trace, m, mo, r, config.trials, cell_seed(experiment, m, mo, r),
-                          config.controller))
+            (experiment, m, mo, r, config.trials, cell_seed(experiment, m, mo, r))
             for m, mo, r in cells
         ]
-        summaries = _run_cells(jobs, config.workers)
+        summaries = _run_cells(trace, jobs, config.workers)
         summaries.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))
         written += _write_trial_tables(out, experiment, summaries)
         progress(f"{experiment} experiment done: {len(summaries)} cells")

@@ -1,8 +1,12 @@
 """Experiment harness: sampling-rate accuracy, FSD/WMRD fidelity, overhead.
 
-Every experiment replays the same immutable trace once per trial with a
-trial-specific seed, so results are reproducible to the byte.  Statistics
-stay in the standard library; rates stay exact fractions.
+Every trial draws its rules with a trial-specific seed, so results are
+reproducible to the byte.  The rate and WMRD trials aggregate the trace into
+per-flow packet counts once and read each trial's sampled flows off its rule
+set: sampling decides per 5-tuple, and counter conservation puts every packet
+of a sampled flow in its merged records, so this equals a full replay.  The
+overhead experiment depends on install delay and timeouts and replays the
+trace.  Statistics stay in the standard library; rates stay exact fractions.
 """
 
 import statistics
@@ -20,8 +24,9 @@ from .sampling import (
     config_for_rate,
     derive_seed,
     generate_rules,
+    sampled_keys,
 )
-from .simulate import Simulation, SimulationResult
+from .simulate import Simulation
 
 
 def compute_fsd(items: Iterable) -> Counter:
@@ -114,34 +119,37 @@ def count_flows(trace: Iterable[PacketRecord]) -> int:
 
 
 def _run_trials(
-    trace: Sequence[PacketRecord],
+    sizes: Counter,
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
     trials: int,
     seed: int,
-    controller_config: ControllerConfig | None,
-    metric: Callable[[SimulationResult], float],
+    metric: Callable[[list[int]], float],
 ) -> tuple[SamplingMethod, SamplingMode, Fraction, list[float]]:
-    """Replay one independent rule draw per trial and apply `metric` to each.
+    """Draw one rule set per trial and apply `metric` to the packet counts of
+    the flows it samples.
 
-    The hash method is deterministic given its seed, so it runs one trial.
-    Returns the parsed method and mode, the realized rate (the nearest
-    representable one when the target is not) and the per-trial values.
+    No packet is replayed: `sizes` maps each flow of the trace to its packet
+    count, and a trial's sampled sizes are those of the keys its rules mirror
+    to the controller, which equal the merged records of a replay at any
+    install delay and timeouts.  The hash method is deterministic given its
+    seed, so it runs one trial.  Returns the parsed method and mode, the
+    realized rate (the nearest representable one when the target is not) and
+    the per-trial values.
     """
     method, mode = SamplingMethod(method), SamplingMode(mode)
     if trials < 1:
         raise ValueError("need at least one trial")
     if method is SamplingMethod.HASH_BASED:
         trials = 1
-    base = config_for_rate(method, mode, target_rate, seed)
-    realized = generate_rules(base).theoretical_rate
-    cc = controller_config or ControllerConfig()
+    base = config_for_rate(method, mode, target_rate)
     values = []
     for trial in range(trials):
-        cfg = replace(base, seed=derive_seed(seed, trial))
-        values.append(metric(Simulation(cfg, cc, track_flows=False).run(trace)))
-    return method, mode, realized, values
+        rules = generate_rules(replace(base, seed=derive_seed(seed, trial)))
+        values.append(metric([sizes[k] for k in sampled_keys(rules, sizes)]))
+    # the realized rate is the same for every seed
+    return method, mode, rules.theoretical_rate, values
 
 
 def run_rate_experiment(
@@ -151,12 +159,11 @@ def run_rate_experiment(
     target_rate: Fraction,
     trials: int,
     seed: int,
-    controller_config: ControllerConfig | None = None,
 ) -> RateTrialSummary:
     """Count the sampled flows of `trials` independent rule draws."""
+    sizes = Counter(flow_key_of(p) for p in trace)
     method, mode, realized, counts = _run_trials(
-        trace, method, mode, target_rate, trials, seed, controller_config,
-        lambda result: result.flows_sampled,
+        sizes, method, mode, target_rate, trials, seed, len
     )
     p5, median, p95 = _percentiles(counts)
     return RateTrialSummary(
@@ -166,7 +173,7 @@ def run_rate_experiment(
         realized_rate=realized,
         trials=len(counts),
         counts=tuple(counts),
-        theoretical_count=float(count_flows(trace) * realized),
+        theoretical_count=float(len(sizes) * realized),
         median=median,
         p5=p5,
         p95=p95,
@@ -197,13 +204,13 @@ def run_wmrd_experiment(
     target_rate: Fraction,
     trials: int,
     seed: int,
-    controller_config: ControllerConfig | None = None,
 ) -> WmrdSummary:
     """Per-trial WMRD between the sampled-flow FSD and the full-trace FSD."""
-    original = compute_fsd(trace)
+    sizes = Counter(flow_key_of(p) for p in trace)
+    original = compute_fsd(sizes.values())
     method, mode, realized, values = _run_trials(
-        trace, method, mode, target_rate, trials, seed, controller_config,
-        lambda result: wmrd(original, compute_fsd(result.records)),
+        sizes, method, mode, target_rate, trials, seed,
+        lambda sampled: wmrd(original, compute_fsd(sampled)),
     )
     vmin, q1, med, q3, vmax = _quartiles(values)
     return WmrdSummary(

@@ -20,6 +20,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .model import FlowKey, Protocol
 from .switch import (
@@ -262,6 +263,34 @@ def generate_rules(config: SamplingConfig) -> RuleSet:
     return _GENERATORS[config.method](config)
 
 
+def _mirrors(bucket: Bucket) -> bool:
+    """Whether a select-group bucket copies the packet to the controller."""
+    return any(type(a) is OutputToController for a in bucket.actions)
+
+
+def sampled_keys(rule_set: RuleSet, keys: Iterable[FlowKey]) -> list[FlowKey]:
+    """The keys whose packets table 0 mirrors to the controller, in input order.
+
+    Every method decides per 5-tuple: the flow entries test address bits or
+    ports, and the select group hashes the key with the rule set's seed.  So
+    this is the set of flows a replay of any trace with these keys samples,
+    read off the rules without replaying a packet.
+    """
+    if rule_set.groups:
+        group = rule_set.groups[0]
+        seed = rule_set.config.seed
+        mirror = [_mirrors(b) for b in group.buckets]
+        return [k for k in keys if mirror[select_bucket(group, k, seed)]]
+    matchers = [entry.match.matches for entry in rule_set.flow_entries]
+    sampled = []
+    for key in keys:
+        for matches in matchers:
+            if matches(key):
+                sampled.append(key)
+                break
+    return sampled
+
+
 def theoretical_rate(rule_set: RuleSet) -> Fraction:
     """Recover the exact sampling rate from the generated rules themselves.
 
@@ -271,11 +300,7 @@ def theoretical_rate(rule_set: RuleSet) -> Fraction:
     """
     if rule_set.groups:
         group = rule_set.groups[0]
-        mirror = sum(
-            b.weight
-            for b in group.buckets
-            if any(type(a) is OutputToController for a in b.actions)
-        )
+        mirror = sum(b.weight for b in group.buckets if _mirrors(b))
         total = sum(b.weight for b in group.buckets)
         return Fraction(mirror, total)
     match = rule_set.flow_entries[0].match

@@ -87,7 +87,8 @@ class MatchFields:
             return None
         return FlowKey(self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
 
-    def matches(self, pkt: PacketRecord) -> bool:
+    def matches(self, pkt: PacketRecord | FlowKey) -> bool:
+        """Whether a packet, or any packet of a flow key, hits this match."""
         if self.src_ip is not None and (pkt.src_ip & self.src_ip_mask) != (
             self.src_ip & self.src_ip_mask
         ):

@@ -2,12 +2,14 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofmon.controller import ControllerConfig
 from ofmon.evaluation import (
     compute_fsd,
     count_flows,
@@ -16,8 +18,18 @@ from ofmon.evaluation import (
     run_wmrd_experiment,
     wmrd,
 )
-from ofmon.model import ExpiryReason, FlowRecord, Protocol, flow_key_of
-from ofmon.sampling import SamplingConfig, SamplingMethod
+from ofmon.model import ExpiryReason, FlowKey, FlowRecord, PacketRecord, Protocol, flow_key_of
+from ofmon.sampling import (
+    SamplingConfig,
+    SamplingMethod,
+    SamplingMode,
+    config_for_rate,
+    derive_seed,
+    generate_rules,
+    sampled_keys,
+)
+from ofmon.simulate import Simulation
+from ofmon.traceio import ExponentialGap, Geometric, SyntheticSpec, ZipfSkewed, generate_trace
 
 from helpers import pkt, random_trace
 
@@ -195,3 +207,95 @@ class TestOverheadExperiment:
 
 def test_count_flows():
     assert count_flows(random_trace(77, seed=2, packets_per_flow=3)) == 77
+
+
+# -- flow-level trials against full replay -----------------------------------
+
+DIFF_RATES = [Fraction(1), Fraction(1, 2), Fraction(1, 16), Fraction(3, 7), Fraction(1, 256)]
+CELLS = [(method, mode) for method in SamplingMethod for mode in SamplingMode]
+
+keys_strategy = st.builds(
+    FlowKey,
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 65535),
+    st.integers(0, 65535),
+    st.sampled_from([Protocol.TCP, Protocol.UDP]),
+)
+
+
+@st.composite
+def bursty_trace(draw, idle_ns):
+    """Bursts of 1-20 packets on a few keys; a key may burst again later, and
+    gaps fall on both sides of the idle timeout."""
+    keys = draw(st.lists(keys_strategy, min_size=1, max_size=6, unique=True))
+    packets = []
+    for _ in range(draw(st.integers(1, 8))):
+        key = draw(st.sampled_from(keys))
+        t = draw(st.integers(0, 20 * idle_ns))
+        length = draw(st.integers(64, 1500))
+        for _ in range(draw(st.integers(1, 20))):
+            packets.append(PacketRecord(t, *key, length))
+            t += draw(st.integers(0, 2 * idle_ns))
+    packets.sort(key=lambda p: p.timestamp_ns)
+    return packets
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sampled_flows_equal_those_of_a_full_replay(data):
+    idle = data.draw(st.integers(1, 10), label="idle_ms") * MS
+    controller = ControllerConfig(
+        install_delay_ns=data.draw(st.integers(0, 20), label="delay_ms") * MS,
+        idle_timeout_ns=idle,
+        hard_timeout_ns=data.draw(st.one_of(st.just(0), st.integers(idle, 4 * idle)),
+                                  label="hard_ns"),
+    )
+    trace = data.draw(bursty_trace(idle), label="trace")
+    method, mode = data.draw(st.sampled_from(CELLS), label="cell")
+    rate = data.draw(st.sampled_from(DIFF_RATES), label="rate")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    sizes = Counter(flow_key_of(p) for p in trace)
+    base = config_for_rate(method, mode, rate)
+    for trial in range(3):
+        cfg = replace(base, seed=derive_seed(seed, trial))
+        sampled = sampled_keys(generate_rules(cfg), sizes)
+        result = Simulation(cfg, controller).run(trace)
+        assert set(sampled) == {r.key for r in result.records}
+        assert len(sampled) == result.flows_sampled
+        assert Counter(sizes[k] for k in sampled) == compute_fsd(result.records)
+
+
+def _replayed_trials(trace, method, mode, rate, trials, seed, controller, metric):
+    """The reference: one full replay per trial, as the trials once ran."""
+    method = SamplingMethod(method)
+    if method is SamplingMethod.HASH_BASED:
+        trials = 1
+    base = config_for_rate(method, mode, rate, seed)
+    realized = generate_rules(base).theoretical_rate
+    values = []
+    for trial in range(trials):
+        cfg = replace(base, seed=derive_seed(seed, trial))
+        values.append(metric(Simulation(cfg, controller, track_flows=False).run(trace)))
+    return realized, tuple(values)
+
+
+@pytest.mark.parametrize("rate", [Fraction(1, 4), Fraction(1, 16)])
+def test_experiments_equal_the_replayed_trials(rate):
+    # gaps longer than the idle timeout split flows; installs land mid-flow
+    trace = generate_trace(SyntheticSpec(
+        flow_count=400, size_distribution=Geometric(0.3), ip_mode=ZipfSkewed(1.2),
+        gap=ExponentialGap(3 * MS), duration_ns=200 * MS, seed=5))
+    controller = ControllerConfig(install_delay_ns=4 * MS, idle_timeout_ns=2 * MS,
+                                  hard_timeout_ns=6 * MS)
+    original = compute_fsd(trace)
+    for method, mode in CELLS:
+        args = (trace, method, mode, rate, 5, 11)
+        realized, counts = _replayed_trials(*args, controller, lambda r: r.flows_sampled)
+        s = run_rate_experiment(*args)
+        assert (s.realized_rate, s.counts) == (realized, counts)
+        assert s.theoretical_count == float(count_flows(trace) * realized)
+        realized, values = _replayed_trials(
+            *args, controller, lambda r: wmrd(original, compute_fsd(r.records)))
+        w = run_wmrd_experiment(*args)
+        assert (w.realized_rate, w.values) == (realized, values)
