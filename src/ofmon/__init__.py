@@ -2,12 +2,11 @@
 
 from .controller import ControllerConfig
 from .evaluation import (
-    count_flows,
     run_overhead_experiment,
     run_rate_experiment,
     run_wmrd_experiment,
 )
-from .model import PacketRecord, Protocol, flow_key_of
+from .model import PacketRecord, Protocol, flow_key_of, flow_sizes
 from .sampling import (
     SamplingConfig,
     SamplingMethod,
@@ -31,8 +30,8 @@ __all__ = [
     "SamplingMode",
     "SyntheticSpec",
     "config_for_rate",
-    "count_flows",
     "flow_key_of",
+    "flow_sizes",
     "generate_rules",
     "generate_trace",
     "randomize_trace",

@@ -8,7 +8,9 @@ ordered by (method, mode, rate, trial) no matter how the work was scheduled.
 
 import csv
 import json
+import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +24,7 @@ from .evaluation import (
     run_rate_experiment,
     run_wmrd_experiment,
 )
+from .model import flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate, derive_seed
 from .simulate import Simulation
 from .traceio import (
@@ -193,8 +196,31 @@ CONFIG_SCHEMA = {
 }
 
 
+def _is_integer(checker, instance) -> bool:
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+def _is_finite_number(checker, instance) -> bool:
+    return _is_integer(checker, instance) or (
+        isinstance(instance, float) and math.isfinite(instance)
+    )
+
+
+# JSON Schema's "integer" admits 2.0 and its "number" admits Infinity and NaN;
+# every integer here is used as an int and every number must convert to one
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {"integer": _is_integer, "number": _is_finite_number}
+    ),
+)(CONFIG_SCHEMA)
+
+
 def _ms_to_ns(ms: float) -> int:
-    return int(round(ms * 1_000_000))
+    try:
+        return int(round(ms * 1_000_000))
+    except OverflowError as exc:
+        raise ConfigError(f"campaign config invalid: {ms} ms is out of range") from exc
 
 
 def parse_rate(text: str) -> Fraction:
@@ -273,19 +299,18 @@ def load_campaign(path: str) -> CampaignConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read campaign file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ConfigError(f"campaign file is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"campaign config invalid at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"campaign config invalid at {where}: {error.message}")
 
     trace_cfg = raw["trace"]
     trace_path = trace_cfg.get("csv")
     if trace_path is not None:
         resolved = Path(path).parent / trace_path
-        if not resolved.exists():
+        if not os.path.isfile(resolved):
             raise ConfigError(f"trace not found: {resolved}")
         trace_path = str(resolved)
     synthetic = None
@@ -347,30 +372,31 @@ def load_campaign(path: str) -> CampaignConfig:
     )
 
 
-def _run_cell(trace: list, job: tuple):
+def _run_cell(sizes: Counter, job: tuple):
     experiment, *args = job
     run = run_rate_experiment if experiment == "rate" else run_wmrd_experiment
-    return run(trace, *args)
+    return run(sizes, *args)
 
 
-_worker_trace: list | None = None  # set once in each pool worker, never in the parent
+_worker_sizes: Counter | None = None  # set once in each pool worker, never in the parent
 
 
-def _init_worker(trace: list) -> None:
-    global _worker_trace
-    _worker_trace = trace
+def _init_worker(sizes: Counter) -> None:
+    global _worker_sizes
+    _worker_sizes = sizes
 
 
 def _run_worker_cell(job: tuple):
-    return _run_cell(_worker_trace, job)
+    return _run_cell(_worker_sizes, job)
 
 
-def _run_cells(trace: list, jobs: list, workers: int):
-    """Run every job; a pool receives the trace once per worker, not per job."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [_run_cell(trace, job) for job in jobs]
+def _run_cells(sizes: Counter, jobs: list, workers: int):
+    """Run every job; a pool receives the flow table once per worker, not per job."""
+    workers = min(workers, len(jobs))  # a pool starts all its processes at once
+    if workers <= 1:
+        return [_run_cell(sizes, job) for job in jobs]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(trace,)
+        max_workers=workers, initializer=_init_worker, initargs=(sizes,)
     ) as pool:
         return list(pool.map(_run_worker_cell, jobs))
 
@@ -444,14 +470,14 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
     def cell_seed(tag: str, method, mode, rate) -> int:
         return derive_seed(config.seed, tag, method.value, mode.value, str(rate))
 
-    for experiment in _TRIAL_TABLES:
-        if experiment not in config.experiments:
-            continue
+    trial_experiments = [e for e in _TRIAL_TABLES if e in config.experiments]
+    sizes = flow_sizes(trace) if trial_experiments else None
+    for experiment in trial_experiments:
         jobs = [
             (experiment, m, mo, r, config.trials, cell_seed(experiment, m, mo, r))
             for m, mo, r in cells
         ]
-        summaries = _run_cells(trace, jobs, config.workers)
+        summaries = _run_cells(sizes, jobs, config.workers)
         summaries.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))
         written += _write_trial_tables(out, experiment, summaries)
         progress(f"{experiment} experiment done: {len(summaries)} cells")

@@ -5,12 +5,13 @@ Exit codes: 0 success, 2 usage/config problems, 1 runtime failure.
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
-from pathlib import Path
 
 from .campaign import ConfigError, load_campaign, parse_rate, run_campaign
 from .controller import ControllerConfig, export_records
+from .model import flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate
 from .simulate import Simulation
 from .traceio import (
@@ -81,7 +82,7 @@ def _parse_gaps(token: str):
 def cmd_gen_trace(args: argparse.Namespace) -> int:
     """Generate a synthetic trace, or randomize the keys of an existing one."""
     if args.randomize:
-        if not Path(args.randomize).exists():
+        if not os.path.isfile(args.randomize):
             raise ConfigError(f"trace not found: {args.randomize}")
         packets = randomize_trace(read_csv_trace(args.randomize), args.seed)
     else:
@@ -99,7 +100,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
         )
         packets = generate_trace(spec)
     count = write_csv_trace(packets, args.out)
-    flows = len({(p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol) for p in packets})
+    flows = len(flow_sizes(packets))
     total_bytes = sum(p.length_bytes for p in packets)
     print(f"wrote {args.out}: {flows} flows, {count} packets, {total_bytes} bytes")
     return 0
@@ -107,7 +108,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Replay one trace through the monitoring pipeline and export records."""
-    if not Path(args.trace).exists():
+    if not os.path.isfile(args.trace):
         raise ConfigError(f"trace not found: {args.trace}")
     target = parse_rate(args.rate)
     sampling = config_for_rate(args.method, args.mode, target, args.seed)

@@ -3,9 +3,11 @@
 First packet of a sampled flow arrives as a PacketIn; the controller asks for
 an exact-match record entry that becomes active only after the configured
 install delay.  Every further PacketIn inside that window is redundant load
-and gets counted as such.  When the switch later evicts the entry, the
-controller merges its own view (packets it saw directly) with the entry
-counters into one flow record.
+and gets counted as such.  The controller keeps one view per flow, the
+packets it saw directly, from the first PacketIn until the flow's record:
+pending while the entry is in flight, active once it is installed.  When the
+switch evicts the entry, or the trace ends before it was installed, that view
+and the entry counters merge into one flow record.
 """
 
 import csv
@@ -78,15 +80,13 @@ class ControllerConfig:
 
 
 @dataclass(slots=True)
-class PendingInstall:
-    """A flow whose record entry is still in flight."""
+class _FlowView:
+    """The packets of one flow that reached the controller, and when."""
 
-    key: FlowKey
-    first_packet_ns: int
-    first_packet_bytes: int
-    last_packet_ns: int
-    redundant_packets: int = 0
-    redundant_bytes: int = 0
+    first_seen_ns: int
+    last_seen_ns: int
+    packets: int
+    bytes: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,22 +98,14 @@ class ScheduledFlowMod:
     entry: FlowEntry
 
 
-@dataclass(slots=True)
-class _ActiveFlow:
-    first_seen_ns: int
-    controller_packets: int
-    controller_bytes: int
-    last_controller_packet_ns: int
-
-
 class MonitoringController:
     """Builds per-flow records out of PacketIn and FlowRemoved streams."""
 
     def __init__(self, config: ControllerConfig):
         self.config = config
         self.records: list[FlowRecord] = []
-        self._pending: dict[FlowKey, PendingInstall] = {}
-        self._active: dict[FlowKey, _ActiveFlow] = {}
+        self._pending: dict[FlowKey, _FlowView] = {}  # record entry still in flight
+        self._active: dict[FlowKey, _FlowView] = {}  # record entry installed
         # aggregate redundant load per transport protocol, for overhead curves
         self.redundant_packets_by_protocol: Counter[Protocol] = Counter()
         self.redundant_bytes_by_protocol: Counter[Protocol] = Counter()
@@ -134,20 +126,15 @@ class MonitoringController:
             raise ControllerStateError(
                 f"packet-in for flow {key} which already has an active record entry"
             )
-        pending = self._pending.get(key)
-        if pending is not None:
-            pending.redundant_packets += 1
-            pending.redundant_bytes += pkt.length_bytes
-            pending.last_packet_ns = pkt.timestamp_ns
+        view = self._pending.get(key)
+        if view is not None:
+            view.packets += 1
+            view.bytes += pkt.length_bytes
+            view.last_seen_ns = pkt.timestamp_ns
             self.redundant_packets_by_protocol[key.protocol] += 1
             self.redundant_bytes_by_protocol[key.protocol] += pkt.length_bytes
             return None
-        self._pending[key] = PendingInstall(
-            key=key,
-            first_packet_ns=pkt.timestamp_ns,
-            first_packet_bytes=pkt.length_bytes,
-            last_packet_ns=pkt.timestamp_ns,
-        )
+        self._pending[key] = _FlowView(pkt.timestamp_ns, pkt.timestamp_ns, 1, pkt.length_bytes)
         entry = FlowEntry(
             match=MatchFields.exact(key),
             priority=FLOW_RECORD_PRIORITY,
@@ -164,15 +151,10 @@ class MonitoringController:
 
     def on_flow_mod_installed(self, key: FlowKey) -> None:
         """Acknowledge that the scheduled entry for `key` is now in the table."""
-        pending = self._pending.pop(key, None)
-        if pending is None:
+        view = self._pending.pop(key, None)
+        if view is None:
             raise ControllerStateError(f"install acknowledged for unknown flow {key}")
-        self._active[key] = _ActiveFlow(
-            first_seen_ns=pending.first_packet_ns,
-            controller_packets=1 + pending.redundant_packets,
-            controller_bytes=pending.first_packet_bytes + pending.redundant_bytes,
-            last_controller_packet_ns=pending.last_packet_ns,
-        )
+        self._active[key] = view
 
     def on_flow_removed(self, event: FlowRemoved) -> FlowRecord:
         """Close the record for an evicted entry, merging both counter views."""
@@ -181,48 +163,49 @@ class MonitoringController:
             raise ControllerStateError(
                 f"record entry match is not an exact 5-tuple: {event.entry.match}"
             )
-        state = self._active.pop(key, None)
-        if state is None:
+        view = self._active.pop(key, None)
+        if view is None:
             raise ControllerStateError(f"flow-removed for flow {key} this controller does not own")
         entry = event.entry
-        if entry.packet_count > 0:
-            last_seen = entry.last_match_time_ns
-        else:
-            last_seen = state.last_controller_packet_ns
-        record = FlowRecord(
-            key=key,
-            first_seen_ns=state.first_seen_ns,
-            last_seen_ns=last_seen,
-            packet_count=entry.packet_count + state.controller_packets,
-            byte_count=entry.byte_count + state.controller_bytes,
-            controller_packet_count=state.controller_packets,
-            expiry_reason=_REASON_MAP[event.reason],
+        last_seen = entry.last_match_time_ns if entry.packet_count > 0 else view.last_seen_ns
+        return self._close(
+            key, view, entry.packet_count, entry.byte_count, last_seen, _REASON_MAP[event.reason]
         )
-        self.records.append(record)
-        return record
 
-    def finalize_pending(self, end_ns: int) -> list[FlowRecord]:
+    def finalize_pending(self) -> list[FlowRecord]:
         """Close flows whose entry never made it in before the trace ended.
 
         Every packet of such a flow went to the controller, so the record is
-        complete from the controller-side counters alone.
+        complete from the controller's view alone.
         """
-        out = []
-        for key in sorted(self._pending):
-            pending = self._pending[key]
-            record = FlowRecord(
-                key=key,
-                first_seen_ns=pending.first_packet_ns,
-                last_seen_ns=pending.last_packet_ns,
-                packet_count=1 + pending.redundant_packets,
-                byte_count=pending.first_packet_bytes + pending.redundant_bytes,
-                controller_packet_count=1 + pending.redundant_packets,
-                expiry_reason=ExpiryReason.END_OF_TRACE,
-            )
-            self.records.append(record)
-            out.append(record)
+        out = [
+            self._close(key, view, 0, 0, view.last_seen_ns, ExpiryReason.END_OF_TRACE)
+            for key, view in sorted(self._pending.items())
+        ]
         self._pending.clear()
         return out
+
+    def _close(
+        self,
+        key: FlowKey,
+        view: _FlowView,
+        entry_packets: int,
+        entry_bytes: int,
+        last_seen_ns: int,
+        reason: ExpiryReason,
+    ) -> FlowRecord:
+        """Record a flow: the controller's view plus its entry's counters."""
+        record = FlowRecord(
+            key=key,
+            first_seen_ns=view.first_seen_ns,
+            last_seen_ns=last_seen_ns,
+            packet_count=entry_packets + view.packets,
+            byte_count=entry_bytes + view.bytes,
+            controller_packet_count=view.packets,
+            expiry_reason=reason,
+        )
+        self.records.append(record)
+        return record
 
 
 def record_to_dict(record: FlowRecord) -> dict:

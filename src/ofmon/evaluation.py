@@ -1,12 +1,13 @@
 """Experiment harness: sampling-rate accuracy, FSD/WMRD fidelity, overhead.
 
 Every trial draws its rules with a trial-specific seed, so results are
-reproducible to the byte.  The rate and WMRD trials aggregate the trace into
-per-flow packet counts once and read each trial's sampled flows off its rule
-set: sampling decides per 5-tuple, and counter conservation puts every packet
-of a sampled flow in its merged records, so this equals a full replay.  The
-overhead experiment depends on install delay and timeouts and replays the
-trace.  Statistics stay in the standard library; rates stay exact fractions.
+reproducible to the byte.  The rate and WMRD experiments take the trace's
+per-flow packet counts (`model.flow_sizes`), built once by the caller, and
+read each trial's sampled flows off its rule set: sampling decides per
+5-tuple, and counter conservation puts every packet of a sampled flow in its
+merged records, so this equals a full replay.  The overhead experiment
+depends on install delay and timeouts and replays the trace.  Statistics
+stay in the standard library; rates stay exact fractions.
 """
 
 import statistics
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .controller import ControllerConfig
-from .model import FlowRecord, PacketRecord, Protocol, flow_key_of
+from .model import FlowKey, PacketRecord, Protocol
 from .sampling import (
     SamplingConfig,
     SamplingMethod,
@@ -29,33 +30,9 @@ from .sampling import (
 from .simulate import Simulation
 
 
-def compute_fsd(items: Iterable) -> Counter:
-    """Histogram of flow sizes.
-
-    Accepts trace packets (grouped by 5-tuple), flow records (merged per key,
-    so idle-split flows count once) or bare integer sizes.
-    """
-    it = iter(items)
-    first = next(it, None)
-    if first is None:
-        return Counter()
-    if isinstance(first, PacketRecord):
-        per_flow: Counter = Counter()
-        per_flow[flow_key_of(first)] += 1
-        for pkt in it:
-            per_flow[flow_key_of(pkt)] += 1
-        return Counter(per_flow.values())
-    if isinstance(first, FlowRecord):
-        per_flow = Counter()
-        per_flow[first.key] += first.packet_count
-        for rec in it:
-            per_flow[rec.key] += rec.packet_count
-        return Counter(per_flow.values())
-    sizes = Counter()
-    sizes[int(first)] += 1
-    for value in it:
-        sizes[int(value)] += 1
-    return sizes
+def compute_fsd(sizes: Iterable[int]) -> Counter:
+    """Flow size distribution: how many flows have each packet count."""
+    return Counter(sizes)
 
 
 def wmrd(original: Counter, sampled: Counter) -> float:
@@ -114,12 +91,8 @@ class RateTrialSummary:
     p95: float
 
 
-def count_flows(trace: Iterable[PacketRecord]) -> int:
-    return len({flow_key_of(p) for p in trace})
-
-
 def _run_trials(
-    sizes: Counter,
+    sizes: Counter[FlowKey],
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
@@ -153,15 +126,14 @@ def _run_trials(
 
 
 def run_rate_experiment(
-    trace: Sequence[PacketRecord],
+    sizes: Counter[FlowKey],
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
     trials: int,
     seed: int,
 ) -> RateTrialSummary:
-    """Count the sampled flows of `trials` independent rule draws."""
-    sizes = Counter(flow_key_of(p) for p in trace)
+    """Count the sampled flows of `trials` rule draws; `sizes` is `flow_sizes(trace)`."""
     method, mode, realized, counts = _run_trials(
         sizes, method, mode, target_rate, trials, seed, len
     )
@@ -198,15 +170,14 @@ class WmrdSummary:
 
 
 def run_wmrd_experiment(
-    trace: Sequence[PacketRecord],
+    sizes: Counter[FlowKey],
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
     trials: int,
     seed: int,
 ) -> WmrdSummary:
-    """Per-trial WMRD between the sampled-flow FSD and the full-trace FSD."""
-    sizes = Counter(flow_key_of(p) for p in trace)
+    """Per-trial WMRD of the sampled FSD against the trace's; `sizes` is `flow_sizes(trace)`."""
     original = compute_fsd(sizes.values())
     method, mode, realized, values = _run_trials(
         sizes, method, mode, target_rate, trials, seed,

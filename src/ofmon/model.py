@@ -2,8 +2,9 @@
 
 import enum
 import ipaddress
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Protocol(enum.IntEnum):
@@ -52,6 +53,11 @@ def flow_key_of(packet: PacketRecord) -> FlowKey:
     return FlowKey(
         packet.src_ip, packet.dst_ip, packet.src_port, packet.dst_port, packet.protocol
     )
+
+
+def flow_sizes(packets: Iterable[PacketRecord]) -> Counter[FlowKey]:
+    """Packet count per flow of a trace: the table every trial reads."""
+    return Counter(map(flow_key_of, packets))
 
 
 @dataclass(frozen=True, slots=True)

@@ -334,8 +334,10 @@ def config_for_rate(
     mode = SamplingMode(mode)
     if not 0 < target_rate <= 1:
         raise ValueError(f"sampling rate must lie in (0, 1], got {target_rate}")
+    rate = Fraction(target_rate)
     if method is SamplingMethod.IP_SUFFIX:
-        bits = round(math.log2(1 / target_rate))
+        # log2 of each part, since 1/rate can overflow a float
+        bits = round(math.log2(rate.denominator) - math.log2(rate.numerator))
         if mode is SamplingMode.PAIR:
             bits = min(bits, 64)
             src, dst = (bits + 1) // 2, bits // 2
@@ -349,7 +351,6 @@ def config_for_rate(
             return SamplingConfig(method=method, mode=mode, src_size=count, dst_size=count, seed=seed)
         count = min(max(round(float(target_rate) * PORT_SPACE), 1), PORT_SPACE)
         return SamplingConfig(method=method, mode=mode, src_size=count, seed=seed)
-    rate = Fraction(target_rate)
     return SamplingConfig(
         method=method,
         mode=mode,

@@ -2,12 +2,13 @@
 
 Scheduled entry installs are interleaved with trace packets in timestamp
 order; an install due at the same instant as a packet applies first, so the
-packet already matches the new entry.  Identical (trace, config, seed) input
+packet already matches the new entry.  Every install waits the same delay and
+packets never go back in time, so installs come due in the order they were
+requested and wait in a FIFO.  Identical (trace, config, seed) input
 replays to identical output, always.
 """
 
-import heapq
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,8 +68,7 @@ class Simulation:
     def run(self, trace: Iterable[PacketRecord]) -> SimulationResult:
         switch = self.switch
         controller = self.controller
-        pending_mods: list[tuple[int, int, ScheduledFlowMod]] = []
-        mod_seq = 0
+        pending_mods: deque[ScheduledFlowMod] = deque()
         installs = 0
         peak = 0
         seen: set[FlowKey] | None = set() if self._track_flows else None
@@ -76,8 +76,8 @@ class Simulation:
 
         for pkt in trace:
             ts = pkt.timestamp_ns
-            while pending_mods and pending_mods[0][0] <= ts:
-                _, _, mod = heapq.heappop(pending_mods)
+            while pending_mods and pending_mods[0].execute_at_ns <= ts:
+                mod = pending_mods.popleft()
                 switch.install_flow_entry(mod.entry, mod.execute_at_ns)
                 controller.on_flow_mod_installed(mod.key)
                 installs += 1
@@ -90,15 +90,14 @@ class Simulation:
                 if type(event) is PacketIn:
                     mod = controller.on_packet_in(event)
                     if mod is not None:
-                        heapq.heappush(pending_mods, (mod.execute_at_ns, mod_seq, mod))
-                        mod_seq += 1
+                        pending_mods.append(mod)
                 else:
                     controller.on_flow_removed(event)
             last_ts = ts
 
         for event in switch.flush_all(last_ts):
             controller.on_flow_removed(event)
-        controller.finalize_pending(last_ts)
+        controller.finalize_pending()
 
         records = controller.records
         return SimulationResult(

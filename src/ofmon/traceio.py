@@ -11,6 +11,7 @@ import csv
 import gzip
 import math
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,62 +28,70 @@ class TraceFormatError(ValueError):
 
 
 def _open_text(path: str, mode: str):
+    # a byte that is not UTF-8 reads as U+FFFD, which no field parser accepts,
+    # so it fails the line that holds it; the writer emits ASCII only
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", newline="")
-    return open(path, mode, newline="")
+        return gzip.open(path, mode + "t", newline="", errors="replace")
+    return open(path, mode, newline="", errors="replace")
 
 
 def read_csv_trace(path: str) -> Iterator[PacketRecord]:
     """Stream packets from a trace file, validating as it goes.
 
     Raises TraceFormatError on a bad header, malformed fields, protocols
-    other than TCP/UDP, or timestamps that go backwards.
+    other than TCP/UDP, timestamps that go backwards, or a file that cannot
+    be read to its end (missing, a directory, corrupt gzip, oversized field).
     """
-    with _open_text(path, "r") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise TraceFormatError(
-                f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
-        prev_ts = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
-            try:
-                ts = int(row[0])
-                src_ip = parse_ip(row[1])
-                dst_ip = parse_ip(row[2])
-                src_port = int(row[3])
-                dst_port = int(row[4])
-                length = int(row[6])
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
-            proto_token = row[5].strip().upper()
-            if proto_token not in ("TCP", "UDP"):
-                raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
-            if ts < 0:
-                raise TraceFormatError(f"line {lineno}: negative timestamp {ts}")
-            if prev_ts is not None and ts < prev_ts:
+    lineno = 0  # the last line read in full
+    try:
+        with _open_text(path, "r") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_HEADER:
                 raise TraceFormatError(
-                    f"line {lineno}: timestamp {ts} goes backwards (previous {prev_ts})"
+                    f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
                 )
-            if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
-                raise TraceFormatError(f"line {lineno}: port out of range")
-            if length < 1:
-                raise TraceFormatError(f"line {lineno}: packet length must be >= 1")
-            prev_ts = ts
-            yield PacketRecord(
-                timestamp_ns=ts,
-                src_ip=src_ip,
-                dst_ip=dst_ip,
-                src_port=src_port,
-                dst_port=dst_port,
-                protocol=Protocol[proto_token],
-                length_bytes=length,
-            )
+            lineno = 1
+            prev_ts = None
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
+                try:
+                    ts = int(row[0])
+                    src_ip = parse_ip(row[1])
+                    dst_ip = parse_ip(row[2])
+                    src_port = int(row[3])
+                    dst_port = int(row[4])
+                    length = int(row[6])
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {lineno}: {exc}") from exc
+                proto_token = row[5].strip().upper()
+                if proto_token not in ("TCP", "UDP"):
+                    raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
+                if ts < 0:
+                    raise TraceFormatError(f"line {lineno}: negative timestamp {ts}")
+                if prev_ts is not None and ts < prev_ts:
+                    raise TraceFormatError(
+                        f"line {lineno}: timestamp {ts} goes backwards (previous {prev_ts})"
+                    )
+                if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+                    raise TraceFormatError(f"line {lineno}: port out of range")
+                if length < 1:
+                    raise TraceFormatError(f"line {lineno}: packet length must be >= 1")
+                prev_ts = ts
+                yield PacketRecord(
+                    timestamp_ns=ts,
+                    src_ip=src_ip,
+                    dst_ip=dst_ip,
+                    src_port=src_port,
+                    dst_port=dst_port,
+                    protocol=Protocol[proto_token],
+                    length_bytes=length,
+                )
+    except (OSError, EOFError, zlib.error, csv.Error) as exc:
+        raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc
 
 
 def write_csv_trace(packets: Iterable[PacketRecord], path: str) -> int:

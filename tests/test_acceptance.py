@@ -26,8 +26,8 @@ from ofmon import (
     SamplingMode,
     SyntheticSpec,
     config_for_rate,
-    count_flows,
     flow_key_of,
+    flow_sizes,
     generate_rules,
     generate_trace,
     randomize_trace,
@@ -167,13 +167,14 @@ def test_criterion_2_rate_formulas():
 
 def test_criterion_3_hash_accuracy(uniform_trace_100k):
     with criterion(3, "hash-based sampling accuracy"):
-        n = count_flows(uniform_trace_100k)
+        sizes = flow_sizes(uniform_trace_100k)
+        n = len(sizes)
         assert n == 100_000
         for denom in (64, 128, 256, 512, 1024):
             rate = Fraction(1, denom)
-            first = run_rate_experiment(uniform_trace_100k, "hash", "source",
+            first = run_rate_experiment(sizes, "hash", "source",
                                         rate, trials=3, seed=103)
-            again = run_rate_experiment(uniform_trace_100k, "hash", "source",
+            again = run_rate_experiment(sizes, "hash", "source",
                                         rate, trials=3, seed=103)
             assert first.trials == 1  # deterministic: one trial, no variance
             assert first.counts == again.counts
@@ -185,14 +186,15 @@ def test_criterion_3_hash_accuracy(uniform_trace_100k):
 def test_criterion_4_biased_methods_on_randomized_traces(skewed_trace, randomized_trace):
     with criterion(4, "ip/port accuracy after key randomization"):
         rate = Fraction(1, 64)
+        randomized, skewed = flow_sizes(randomized_trace), flow_sizes(skewed_trace)
         cells = [("ip-suffix", "source"), ("ip-suffix", "pair"),
                  ("port", "source"), ("port", "pair")]
         for method, mode in cells:
-            rand = run_rate_experiment(randomized_trace, method, mode, rate,
+            rand = run_rate_experiment(randomized, method, mode, rate,
                                        trials=100, seed=104)
             assert abs(rand.median - rand.theoretical_count) <= 0.10 * rand.theoretical_count, (
                 method, mode, rand.median, rand.theoretical_count)
-            skew = run_rate_experiment(skewed_trace, method, mode, rate,
+            skew = run_rate_experiment(skewed, method, mode, rate,
                                        trials=100, seed=104)
             assert (skew.p95 - skew.p5) > (rand.p95 - rand.p5), (method, mode)
 
@@ -200,17 +202,18 @@ def test_criterion_4_biased_methods_on_randomized_traces(skewed_trace, randomize
 def test_criterion_5_wmrd_ordering(service_mix_trace):
     with criterion(5, "hash has the best size-distribution fidelity"):
         rate = Fraction(1, 256)
-        hash_summary = run_wmrd_experiment(service_mix_trace, "hash", "source",
+        sizes = flow_sizes(service_mix_trace)
+        hash_summary = run_wmrd_experiment(sizes, "hash", "source",
                                            rate, trials=1, seed=105)
-        ip = run_wmrd_experiment(service_mix_trace, "ip-suffix", "source",
+        ip = run_wmrd_experiment(sizes, "ip-suffix", "source",
                                  rate, trials=100, seed=105)
-        port = run_wmrd_experiment(service_mix_trace, "port", "source",
+        port = run_wmrd_experiment(sizes, "port", "source",
                                    rate, trials=100, seed=105)
         assert hash_summary.median <= ip.median, (hash_summary.median, ip.median)
         assert hash_summary.median <= port.median, (hash_summary.median, port.median)
 
         # identity case: monitoring everything reproduces the FSD exactly
-        full = run_wmrd_experiment(service_mix_trace, "ip-suffix", "source",
+        full = run_wmrd_experiment(sizes, "ip-suffix", "source",
                                    Fraction(1), trials=1, seed=105)
         assert full.values == (0.0,)
 

@@ -7,9 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ofmon import campaign
 from ofmon.campaign import (
     DEFAULT_OVERHEAD_DELAYS_MS,
+    CampaignConfig,
     ConfigError,
     load_campaign,
     parse_rate,
@@ -129,6 +133,18 @@ class TestLoadCampaign:
             ({"timeouts": {"idle_ms": 0}}, ()),
             ({"install_delay_ms": -1}, ()),
             ({"workers": 0}, ()),
+            # numbers the schema's own types admit but the campaign cannot use
+            ({"seed": 1.0}, ()),
+            ({"trials": 2.0, "sampling": [{"method": "ip-suffix"}]}, ()),
+            ({"workers": 2.0}, ()),
+            ({"trace": {"synthetic": {"flows": 50.0}}}, ()),
+            ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "fixed", "packets": 3.0}}}},
+             ()),
+            ({"timeouts": {"idle_ms": float("inf")}}, ()),
+            ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "exponential",
+                                                          "mean_ms": float("inf")}}}}, ()),
+            ({"install_delay_ms": 1e308}, ()),
+            ({"trace": {"csv": ""}}, ()),  # the config's own directory
         ],
     )
     def test_invalid_configs(self, tmp_path, overrides, drop):
@@ -240,9 +256,123 @@ class TestRunCampaign:
         assert list(csv.reader(hard_csv.splitlines()))[1:] == direct
         assert sum(p.redundant_packets for p in points if p.install_delay_ns) == 150
 
+    def test_pool_is_no_larger_than_the_job_list(self, tmp_path, monkeypatch):
+        # a stand-in pool: a real one would start all max_workers processes
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(campaign, "_worker_sizes", None)
+        serial, _ = self.run(tmp_path, "s", {"experiments": ["rate"]})
+        pooled, _ = self.run(tmp_path, "p", {"experiments": ["rate"], "workers": 100_000})
+        assert sizes == [2]  # two cells, so two rate jobs
+        for a, b in zip(sorted(serial), sorted(pooled)):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+
     def test_outputs_match_the_recorded_digests(self, tmp_path):
         written, _ = self.run(tmp_path, "g")
         digests = {
             Path(w).name: hashlib.sha256(Path(w).read_bytes()).hexdigest() for w in written
         }
         assert digests == BASE_DIGESTS
+
+
+# -- fuzzing the loader ---------------------------------------------------------
+
+FUZZ_BASE = {
+    **BASE,
+    "trace": {"synthetic": {
+        "flows": 400, "sizes": {"kind": "pareto", "alpha": 1.5, "min_size": 2},
+        "ips": {"kind": "zipf", "skew": 1.2}, "ports": {"kind": "uniform"},
+        "tcp_fraction": 0.8, "gaps": {"kind": "exponential", "mean_ms": 5},
+        "duration_ms": 100, "seed": 1}},
+    "randomize_keys_seed": 3,
+    "timeouts": {"idle_ms": 500, "hard_ms": 1000},
+    "install_delay_ms": 1,
+    "overhead": {"delays_ms": [0, 5], "rate": "1"},
+    "export": {"rate": "1/8", "format": "csv"},
+    "output_dir": "out",
+    "workers": 2,
+}
+
+# numbers of every kind the schema's own types would let through
+numbers = st.one_of(
+    st.sampled_from([1.0, 2.0, 0.5, 1e308, float("nan"), float("inf"), float("-inf"),
+                     2**64, 10**400, -(10**400)]),
+    st.integers(),
+    st.floats(),
+)
+json_value = st.recursive(
+    numbers | st.none() | st.booleans() | st.text(max_size=8)
+    | st.sampled_from(["", ".", "1/8", "1e-400", "fixed", "pair"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+
+
+def node_paths(node, prefix=()):
+    """Paths to every node under `node`, itself included, as key tuples."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield from node_paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_config(draw):
+    """FUZZ_BASE with a few leaves replaced by any JSON value or keys dropped."""
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(node_paths(cfg))
+        drop = draw(st.integers(0, 3)) == 0
+        if drop:
+            paths = [p for p in paths if p and isinstance(p[-1], str)]
+        else:
+            paths = [p for p in paths if p and not isinstance(_at(cfg, p), (dict, list))]
+        if not paths:
+            continue
+        *parent_path, last = draw(st.sampled_from(paths))
+        parent = _at(cfg, parent_path)
+        if drop:
+            del parent[last]
+        else:
+            parent[last] = draw(numbers | json_value)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=mutated_config())
+def test_any_config_loads_or_raises_a_config_error(tmp_path_factory, cfg):
+    # loaded only, never run: a valid geometric p of 1e-12 asks for huge flows
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(cfg))  # NaN and infinities as JSON literals
+    try:
+        loaded = load_campaign(str(path))
+    except ConfigError:
+        return
+    assert isinstance(loaded, CampaignConfig)
+    ints = [loaded.seed, loaded.trials, loaded.workers]
+    if loaded.synthetic is not None:
+        ints += [loaded.synthetic.flow_count, loaded.synthetic.seed]
+    assert all(type(v) is int for v in ints)

@@ -114,6 +114,25 @@ class TestSimulate:
         assert main(["simulate", "--trace", trace_path, "--method", "hash",
                      "--rate", rate, "--out", str(tmp_path / "r.jsonl")]) == 2
 
+    def test_tiny_rate_is_exit_0(self, trace_path, tmp_path, capsys):
+        assert main(["simulate", "--trace", trace_path, "--method", "ip-suffix",
+                     "--rate", "1e-400", "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert "1/4294967296" in capsys.readouterr().out
+
+    def test_truncated_gzip_trace_is_exit_2_and_located(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv.gz"
+        write_csv_trace(random_trace(3_000, seed=4), str(trace))
+        data = trace.read_bytes()
+        trace.write_bytes(data[: len(data) // 2])
+        assert main(["simulate", "--trace", str(trace), "--method", "hash",
+                     "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert "line " in capsys.readouterr().err
+
+    def test_directory_as_trace_is_exit_2(self, tmp_path):
+        assert main(["simulate", "--trace", str(tmp_path), "--method", "hash",
+                     "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert main(["gen", "--randomize", str(tmp_path), "-o", str(tmp_path / "x.csv")]) == 2
+
     def test_malformed_trace_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("ts_ns,src_ip,dst_ip,src_port,dst_port,proto,len\n"

@@ -186,7 +186,7 @@ class TestFinalizePending:
         first = pkt(ts=0, length=60)
         ctl.on_packet_in(PacketIn(packet=first, table_id=0))
         ctl.on_packet_in(PacketIn(packet=pkt(ts=5 * MS, length=40), table_id=0))
-        records = ctl.finalize_pending(end_ns=5 * MS)
+        records = ctl.finalize_pending()
         (rec,) = records
         assert rec.expiry_reason is ExpiryReason.END_OF_TRACE
         assert rec.packet_count == 2
@@ -197,8 +197,8 @@ class TestFinalizePending:
     def test_finalize_twice_is_empty(self):
         ctl = MonitoringController(cc(delay=100 * MS))
         ctl.on_packet_in(PacketIn(packet=pkt(), table_id=0))
-        assert len(ctl.finalize_pending(end_ns=0)) == 1
-        assert ctl.finalize_pending(end_ns=0) == []
+        assert len(ctl.finalize_pending()) == 1
+        assert ctl.finalize_pending() == []
 
 
 class TestExport:

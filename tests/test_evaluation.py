@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from ofmon.controller import ControllerConfig
 from ofmon.evaluation import (
     compute_fsd,
-    count_flows,
     run_overhead_experiment,
     run_rate_experiment,
     run_wmrd_experiment,
     wmrd,
 )
-from ofmon.model import ExpiryReason, FlowKey, FlowRecord, PacketRecord, Protocol, flow_key_of
+from ofmon.model import FlowKey, PacketRecord, Protocol, flow_key_of, flow_sizes
 from ofmon.sampling import (
     SamplingConfig,
     SamplingMethod,
@@ -39,11 +38,12 @@ MS = 1_000_000
 fsd_strategy = st.lists(st.integers(1, 30), min_size=1, max_size=60).map(Counter)
 
 
-def record(key, packets):
-    return FlowRecord(key=key, first_seen_ns=0, last_seen_ns=1,
-                      packet_count=packets, byte_count=packets * 100,
-                      controller_packet_count=1,
-                      expiry_reason=ExpiryReason.IDLE_TIMEOUT)
+def merged_sizes(records):
+    """Packets per flow over a replay's records, so idle-split flows count once."""
+    per_flow = Counter()
+    for record in records:
+        per_flow[record.key] += record.packet_count
+    return per_flow
 
 
 class TestComputeFsd:
@@ -52,13 +52,7 @@ class TestComputeFsd:
 
     def test_from_packets(self):
         trace = [pkt(ts=0, sport=1), pkt(ts=1, sport=1), pkt(ts=2, sport=2)]
-        assert compute_fsd(trace) == Counter({2: 1, 1: 1})
-
-    def test_from_records_merges_split_flows(self):
-        a = flow_key_of(pkt(sport=1))
-        b = flow_key_of(pkt(sport=2))
-        records = [record(a, 3), record(a, 4), record(b, 1)]
-        assert compute_fsd(records) == Counter({7: 1, 1: 1})
+        assert compute_fsd(flow_sizes(trace).values()) == Counter({2: 1, 1: 1})
 
     def test_empty_input(self):
         assert compute_fsd([]) == Counter()
@@ -114,7 +108,7 @@ class TestWmrd:
 class TestRateExperiment:
     def test_summary_shape_and_median_accuracy(self):
         trace = random_trace(2_000, seed=6)
-        s = run_rate_experiment(trace, "ip-suffix", "source", Fraction(1, 64),
+        s = run_rate_experiment(flow_sizes(trace), "ip-suffix", "source", Fraction(1, 64),
                                 trials=20, seed=3)
         assert s.trials == 20 and len(s.counts) == 20
         assert s.realized_rate == Fraction(1, 64)
@@ -124,8 +118,9 @@ class TestRateExperiment:
 
     def test_hash_runs_one_deterministic_trial(self):
         trace = random_trace(2_000, seed=6)
-        a = run_rate_experiment(trace, "hash", "source", Fraction(1, 64), trials=50, seed=3)
-        b = run_rate_experiment(trace, "hash", "source", Fraction(1, 64), trials=50, seed=3)
+        sizes = flow_sizes(trace)
+        a = run_rate_experiment(sizes, "hash", "source", Fraction(1, 64), trials=50, seed=3)
+        b = run_rate_experiment(sizes, "hash", "source", Fraction(1, 64), trials=50, seed=3)
         assert a.trials == 1
         assert a.counts == b.counts
         sigma = (2000 * (1 / 64) * (63 / 64)) ** 0.5
@@ -133,27 +128,28 @@ class TestRateExperiment:
 
     def test_unrepresentable_rate_is_reported(self):
         trace = random_trace(100, seed=1)
-        s = run_rate_experiment(trace, "ip-suffix", "source", Fraction(1, 200),
+        s = run_rate_experiment(flow_sizes(trace), "ip-suffix", "source", Fraction(1, 200),
                                 trials=2, seed=0)
         assert s.target_rate == Fraction(1, 200)
         assert s.realized_rate == Fraction(1, 256)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            run_rate_experiment([pkt()], "hash", "source", Fraction(1, 2), trials=0, seed=0)
+            run_rate_experiment(flow_sizes([pkt()]), "hash", "source", Fraction(1, 2),
+                                trials=0, seed=0)
 
 
 class TestWmrdExperiment:
     def test_rate_one_reproduces_the_fsd_exactly(self):
         trace = random_trace(300, seed=9, packets_per_flow=3)
-        s = run_wmrd_experiment(trace, "ip-suffix", "source", Fraction(1, 1),
+        s = run_wmrd_experiment(flow_sizes(trace), "ip-suffix", "source", Fraction(1, 1),
                                 trials=3, seed=2)
         assert s.values == (0.0, 0.0, 0.0)
         assert s.minimum == s.maximum == 0.0
 
     def test_quartiles_are_ordered(self):
         trace = random_trace(1_500, seed=10)
-        s = run_wmrd_experiment(trace, "port", "source", Fraction(1, 16),
+        s = run_wmrd_experiment(flow_sizes(trace), "port", "source", Fraction(1, 16),
                                 trials=12, seed=4)
         assert s.minimum <= s.q1 <= s.median <= s.q3 <= s.maximum
         assert all(0.0 <= v <= 2.0 for v in s.values)
@@ -205,8 +201,10 @@ class TestOverheadExperiment:
         assert point.total_flow_bytes == 10 * 200
 
 
-def test_count_flows():
-    assert count_flows(random_trace(77, seed=2, packets_per_flow=3)) == 77
+def test_flow_sizes():
+    sizes = flow_sizes(random_trace(77, seed=2, packets_per_flow=3))
+    assert len(sizes) == 77
+    assert set(sizes.values()) == {3}
 
 
 # -- flow-level trials against full replay -----------------------------------
@@ -263,7 +261,8 @@ def test_sampled_flows_equal_those_of_a_full_replay(data):
         result = Simulation(cfg, controller).run(trace)
         assert set(sampled) == {r.key for r in result.records}
         assert len(sampled) == result.flows_sampled
-        assert Counter(sizes[k] for k in sampled) == compute_fsd(result.records)
+        assert Counter(sizes[k] for k in sampled) == compute_fsd(
+            merged_sizes(result.records).values())
 
 
 def _replayed_trials(trace, method, mode, rate, trials, seed, controller, metric):
@@ -288,14 +287,16 @@ def test_experiments_equal_the_replayed_trials(rate):
         gap=ExponentialGap(3 * MS), duration_ns=200 * MS, seed=5))
     controller = ControllerConfig(install_delay_ns=4 * MS, idle_timeout_ns=2 * MS,
                                   hard_timeout_ns=6 * MS)
-    original = compute_fsd(trace)
+    sizes = flow_sizes(trace)
+    original = compute_fsd(sizes.values())
     for method, mode in CELLS:
         args = (trace, method, mode, rate, 5, 11)
         realized, counts = _replayed_trials(*args, controller, lambda r: r.flows_sampled)
-        s = run_rate_experiment(*args)
+        s = run_rate_experiment(sizes, *args[1:])
         assert (s.realized_rate, s.counts) == (realized, counts)
-        assert s.theoretical_count == float(count_flows(trace) * realized)
+        assert s.theoretical_count == float(len(flow_sizes(trace)) * realized)
         realized, values = _replayed_trials(
-            *args, controller, lambda r: wmrd(original, compute_fsd(r.records)))
-        w = run_wmrd_experiment(*args)
+            *args, controller,
+            lambda r: wmrd(original, compute_fsd(merged_sizes(r.records).values())))
+        w = run_wmrd_experiment(sizes, *args[1:])
         assert (w.realized_rate, w.values) == (realized, values)

@@ -37,6 +37,10 @@ def random_keys(n, seed):
     ]
 
 
+# every rate p/q with q <= 64, each once
+SMALL_RATES = sorted({Fraction(p, q) for q in range(1, 65) for p in range(1, q + 1)})
+
+
 def closed_form(cfg):
     if cfg.method is SamplingMethod.IP_SUFFIX:
         return Fraction(1, 2 ** (cfg.src_size + cfg.dst_size))
@@ -257,6 +261,48 @@ class TestRateSolver:
         cfg = config_for_rate("port", "source", Fraction(1, 200))
         assert cfg.method is SamplingMethod.PORT_BASED
         assert cfg.src_size == 328
+
+    @pytest.mark.parametrize("method", list(SamplingMethod))
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_no_representable_rate_is_nearer(self, method, mode):
+        # x is the target on the scale rounding is measured on; `above(s)` is
+        # the sign of x - s/2 in exact integers, so candidate c is strictly
+        # nearer than the chosen value iff x lies past their midpoint
+        for rate in SMALL_RATES:
+            p, q = rate.numerator, rate.denominator
+            cfg = config_for_rate(method, mode, rate)
+            if method is SamplingMethod.HASH_BASED:
+                assert generate_rules(cfg).theoretical_rate == rate
+                continue
+            pair = mode is SamplingMode.PAIR
+            if method is SamplingMethod.IP_SUFFIX:  # x = log2(1/rate) bits
+                assert cfg.src_size - cfg.dst_size in (0, 1) if pair else cfg.dst_size == 0
+                chosen = cfg.src_size + cfg.dst_size
+                candidates = range(65 if pair else 33)
+
+                def above(s):
+                    return q * q - p * p * 2**s
+            else:  # x = rate * 65535 ports, or sqrt(rate) * 65535 on each side
+                assert cfg.dst_size == (cfg.src_size if pair else 0)
+                chosen = cfg.src_size
+                # |count - x| is convex in the count, so a count that neither
+                # neighbour beats is nearest of all 1..65535
+                candidates = [c for c in (chosen - 1, chosen + 1) if 1 <= c <= PORT_SPACE]
+
+                def above(s):
+                    if pair:
+                        return 4 * PORT_SPACE**2 * p - s * s * q
+                    return 2 * PORT_SPACE * p - s * q
+            for c in candidates:
+                sign = above(c + chosen)
+                assert not (sign < 0 if c < chosen else sign > 0 if c > chosen else False), (
+                    rate, chosen, c)
+
+    def test_tiny_rate_clamps_the_suffix(self):
+        tiny = Fraction("1e-400")  # 1/rate overflows a float
+        assert config_for_rate("ip-suffix", "source", tiny).src_size == 32
+        pair = config_for_rate("ip-suffix", "pair", tiny)
+        assert (pair.src_size, pair.dst_size) == (32, 32)
 
 
 class TestSeedDerivation:

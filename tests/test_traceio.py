@@ -5,8 +5,10 @@ import statistics
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofmon.model import Protocol, flow_key_of
+from ofmon.model import PacketRecord, Protocol, flow_key_of
 from ofmon.traceio import (
     CSV_HEADER,
     ExponentialGap,
@@ -27,6 +29,7 @@ from ofmon.traceio import (
 from helpers import random_trace
 
 HEADER = ",".join(CSV_HEADER)
+ROW = "0,1.2.3.4,5.6.7.8,10,20,TCP,64"
 
 
 def write_lines(path, *rows):
@@ -114,6 +117,74 @@ class TestCsvValidation:
         path = write_lines(tmp_path / "t.csv", HEADER, "zero,1.2.3.4,5.6.7.8,10,20,TCP,64")
         with pytest.raises(TraceFormatError, match="line 2"):
             self.read_all(path)
+
+    @pytest.mark.parametrize("field", range(len(CSV_HEADER)))
+    def test_byte_that_is_not_utf8_fails_its_own_line(self, tmp_path, field):
+        fields = [f.encode() for f in ROW.split(",")]
+        fields[field] += b"\xe9"
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{HEADER}\n{ROW}\n".encode() + b",".join(fields) + b"\n")
+        with pytest.raises(TraceFormatError, match="line 3"):
+            self.read_all(str(path))
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", HEADER, ROW,
+                           "1," + "9" * 131_073 + ",5.6.7.8,10,20,TCP,64")
+        with pytest.raises(TraceFormatError, match="line 3"):
+            self.read_all(path)
+
+    def test_gz_file_that_is_not_gzip(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv.gz", HEADER, ROW)
+        with pytest.raises(TraceFormatError, match="line 1"):
+            self.read_all(path)
+
+    def test_truncated_gzip(self, tmp_path):
+        rows = [f"{ts},1.2.3.4,5.6.7.8,10,20,TCP,64" for ts in range(5_000)]
+        data = gzip.compress("\n".join([HEADER, *rows, ""]).encode())
+        path = tmp_path / "t.csv.gz"
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(TraceFormatError, match=r"line \d+: "):
+            self.read_all(str(path))
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(TraceFormatError, match="line 1"):
+            self.read_all(str(tmp_path))
+
+
+# each field of a row: its valid value or arbitrary bytes
+row_strategy = st.tuples(*(st.one_of(st.just(f.encode()), st.binary(max_size=6))
+                           for f in ROW.split(",")))
+
+
+@st.composite
+def trace_file(draw):
+    """A file name and its bytes: the valid header, then rows whose fields are
+    valid or arbitrary bytes, some rows short or long, plain or gzip, and
+    possibly cut short."""
+    lines = [HEADER.encode()]
+    for fields in draw(st.lists(row_strategy, max_size=5)):
+        fields = [*fields[: draw(st.integers(0, len(fields)))], *draw(
+            st.lists(st.binary(max_size=3), max_size=2))]
+        lines.append(b",".join(fields))
+    data = b"\n".join(lines) + b"\n"
+    name = "t.csv"
+    if draw(st.booleans()):
+        name, data = "t.csv.gz", gzip.compress(data)
+    return name, data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+@settings(max_examples=200, deadline=None)
+@given(file=trace_file())
+def test_any_trace_file_yields_packets_or_a_located_error(tmp_path_factory, file):
+    name, data = file
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(data)
+    try:
+        packets = list(read_csv_trace(str(path)))
+    except TraceFormatError as exc:
+        assert str(exc).startswith("line ")
+    else:
+        assert all(type(p) is PacketRecord for p in packets)
 
 
 class TestSyntheticGeneration:
