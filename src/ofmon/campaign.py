@@ -25,8 +25,8 @@ from .evaluation import (
     run_wmrd_experiment,
 )
 from .model import flow_sizes
-from .sampling import SamplingMethod, SamplingMode, config_for_rate, derive_seed
-from .simulate import Simulation
+from .sampling import SamplingMethod, SamplingMode, config_for_rate, derive_seed, generate_rules
+from .simulate import replay_flows
 from .traceio import (
     ExponentialGap,
     Fixed,
@@ -223,13 +223,32 @@ def _ms_to_ns(ms: float) -> int:
         raise ConfigError(f"campaign config invalid: {ms} ms is out of range") from exc
 
 
+# Fraction builds 10**n for n decimals or an exponent of n, so an unbounded n
+# hangs.  This bounds both; a rate near it is already too long to print.
+_RATE_MAX_DIGITS = 10_000
+
+
 def parse_rate(text: str) -> Fraction:
+    """An exact rate in (0, 1] from '1/64', '0.25' or '1e-400'."""
+    if len(text) > _RATE_MAX_DIGITS:
+        raise ConfigError(f"bad rate {text[:20]!r}...: over {_RATE_MAX_DIGITS} characters")
+    _, e, exponent = text.lower().partition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) > _RATE_MAX_DIGITS
+    except ValueError:
+        huge = False  # not an integer exponent: Fraction says what is wrong
+    if huge:
+        raise ConfigError(f"bad rate {text!r}: exponent beyond ±{_RATE_MAX_DIGITS}")
     try:
         rate = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rate {text!r}: {exc}") from exc
     if not 0 < rate <= 1:
         raise ConfigError(f"rate {text!r} outside (0, 1]")
+    try:
+        str(rate)  # every rate is printed: in summaries, outputs and seeds
+    except ValueError as exc:  # past the interpreter's int-to-str digit limit
+        raise ConfigError(f"bad rate {text!r}: too many digits to print exactly") from exc
     return rate
 
 
@@ -517,7 +536,7 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
                 method, mode, config.export_rate,
                 cell_seed("export", method, mode, config.export_rate),
             )
-            result = Simulation(cfg, config.controller, track_flows=False).run(trace)
+            result = replay_flows(trace, generate_rules(cfg), config.controller)
             name = f"records_{method.value}_{mode.value}.{config.export_format}"
             with open(out / name, "w", newline="") as fh:
                 export_records(result.records, fh, config.export_format)

@@ -12,8 +12,8 @@ import sys
 from .campaign import ConfigError, load_campaign, parse_rate, run_campaign
 from .controller import ControllerConfig, export_records
 from .model import flow_sizes
-from .sampling import SamplingMethod, SamplingMode, config_for_rate
-from .simulate import Simulation
+from .sampling import SamplingMethod, SamplingMode, config_for_rate, generate_rules
+from .simulate import replay_flows
 from .traceio import (
     ExponentialGap,
     Fixed,
@@ -117,11 +117,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         idle_timeout_ns=parse_duration_ns(args.idle),
         hard_timeout_ns=parse_duration_ns(args.hard),
     )
-    sim = Simulation(sampling, controller)
-    result = sim.run(read_csv_trace(args.trace))
+    rules = generate_rules(sampling)
+    result = replay_flows(read_csv_trace(args.trace), rules, controller)
     with open(args.out, "w", newline="") as fh:
         written = export_records(result.records, fh, args.format)
-    realized = sim.rule_set.theoretical_rate
+    realized = rules.theoretical_rate
     if realized != target:
         print(f"note: rate {target} not representable by {args.method}; using {realized}")
     print(f"sampling rate: {realized} ({args.method}, {args.mode})")

@@ -6,8 +6,10 @@ per-flow packet counts (`model.flow_sizes`), built once by the caller, and
 read each trial's sampled flows off its rule set: sampling decides per
 5-tuple, and counter conservation puts every packet of a sampled flow in its
 merged records, so this equals a full replay.  The overhead experiment
-depends on install delay and timeouts and replays the trace.  Statistics
-stay in the standard library; rates stay exact fractions.
+depends on install delay and timeouts; it replays the trace one flow at a
+time (`simulate.replay_flows`), which equals a packet-level replay because
+a record entry only ever sees its own flow.  Statistics stay in the standard
+library; rates stay exact fractions.
 """
 
 import statistics
@@ -27,7 +29,7 @@ from .sampling import (
     generate_rules,
     sampled_keys,
 )
-from .simulate import Simulation
+from .simulate import replay_flows
 
 
 def compute_fsd(sizes: Iterable[int]) -> Counter:
@@ -229,9 +231,10 @@ def run_overhead_experiment(
     """
     cfg = sampling or SamplingConfig(method=SamplingMethod.IP_SUFFIX)
     cc = controller_config or ControllerConfig()
+    rules = generate_rules(cfg)
     points = []
     for delay in delays_ns:
-        result = Simulation(cfg, replace(cc, install_delay_ns=delay), track_flows=False).run(trace)
+        result = replay_flows(trace, rules, replace(cc, install_delay_ns=delay))
         flows_by_proto: Counter = Counter()
         bytes_by_proto: Counter = Counter()
         seen = set()

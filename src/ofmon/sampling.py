@@ -20,7 +20,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .model import FlowKey, Protocol
 from .switch import (
@@ -268,27 +268,34 @@ def _mirrors(bucket: Bucket) -> bool:
     return any(type(a) is OutputToController for a in bucket.actions)
 
 
-def sampled_keys(rule_set: RuleSet, keys: Iterable[FlowKey]) -> list[FlowKey]:
-    """The keys whose packets table 0 mirrors to the controller, in input order.
+def key_sampler(rule_set: RuleSet) -> Callable[[FlowKey], bool]:
+    """A predicate: whether table 0 mirrors a flow's packets to the controller.
 
     Every method decides per 5-tuple: the flow entries test address bits or
     ports, and the select group hashes the key with the rule set's seed.  So
-    this is the set of flows a replay of any trace with these keys samples,
-    read off the rules without replaying a packet.
+    a flow's every packet is sampled or none is, and the answer can be read
+    off the rules without replaying a packet.
     """
     if rule_set.groups:
         group = rule_set.groups[0]
         seed = rule_set.config.seed
         mirror = [_mirrors(b) for b in group.buckets]
-        return [k for k in keys if mirror[select_bucket(group, k, seed)]]
+        return lambda key: mirror[select_bucket(group, key, seed)]
     matchers = [entry.match.matches for entry in rule_set.flow_entries]
-    sampled = []
-    for key in keys:
+
+    def sampled(key: FlowKey) -> bool:
         for matches in matchers:
             if matches(key):
-                sampled.append(key)
-                break
+                return True
+        return False
+
     return sampled
+
+
+def sampled_keys(rule_set: RuleSet, keys: Iterable[FlowKey]) -> list[FlowKey]:
+    """The keys whose packets table 0 mirrors to the controller, in input order:
+    the flows a replay of any trace with these keys samples."""
+    return list(filter(key_sampler(rule_set), keys))
 
 
 def theoretical_rate(rule_set: RuleSet) -> Fraction:

@@ -58,6 +58,14 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                     continue
                 if len(row) != len(CSV_HEADER):
                     raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
+                ints = row[0] + row[3] + row[4] + row[6]
+                # int() alone also takes other scripts' digits, '_', '+' and
+                # spaces; a '-' anywhere but first still fails int() below
+                if not (ints.isascii() and ints.replace("-", "").isdigit()):
+                    raise TraceFormatError(
+                        f"line {lineno}: ts_ns, src_port, dst_port and len must be ASCII"
+                        f" integers, got {row[0]!r}, {row[3]!r}, {row[4]!r}, {row[6]!r}"
+                    )
                 try:
                     ts = int(row[0])
                     src_ip = parse_ip(row[1])

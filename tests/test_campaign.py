@@ -69,10 +69,21 @@ class TestParseRate:
         assert parse_rate("0.25") == Fraction(1, 4)
         assert parse_rate("1") == Fraction(1)
 
-    @pytest.mark.parametrize("bad", ["0", "-1/2", "3/2", "1/0", "abc"])
+    @pytest.mark.parametrize("bad", ["0", "-1/2", "3/2", "1/0", "abc", "1e-999999999",
+                                     "1e-3000000", "0e999999999", "1E-999_999_999",
+                                     "1e-\uff19\uff19\uff19\uff19\uff19\uff19", "1e-4300"])
     def test_rejected_forms(self, bad):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="rate"):
             parse_rate(bad)
+
+    def test_every_accepted_rate_prints_exactly(self):
+        # Python prints ints of up to 4,300 digits by default
+        assert parse_rate("1e-400") == Fraction(1, 10**400)
+        assert parse_rate("1e-4299") == Fraction(1, 10**4299)
+        assert parse_rate("1/" + "9" * 4300).denominator == 10**4300 - 1
+        for bad in ("0." + "0" * 4300 + "1", "0." + "0" * 20_000 + "1", "1/" + "9" * 4301):
+            with pytest.raises(ConfigError, match="bad rate"):
+                parse_rate(bad)
 
 
 class TestLoadCampaign:

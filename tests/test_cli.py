@@ -109,7 +109,7 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err
 
-    @pytest.mark.parametrize("rate", ["0", "abc", "3/2"])
+    @pytest.mark.parametrize("rate", ["0", "abc", "3/2", "1e-999999999"])
     def test_bad_rate_is_exit_2(self, trace_path, tmp_path, rate):
         assert main(["simulate", "--trace", trace_path, "--method", "hash",
                      "--rate", rate, "--out", str(tmp_path / "r.jsonl")]) == 2

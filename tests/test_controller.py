@@ -14,8 +14,8 @@ from ofmon.controller import (
     record_to_dict,
 )
 from ofmon.model import ExpiryReason, Protocol, flow_key_of, format_ip
-from ofmon.sampling import SamplingConfig, SamplingMethod
-from ofmon.simulate import replay
+from ofmon.sampling import SamplingConfig, SamplingMethod, generate_rules
+from ofmon.simulate import replay, replay_flows
 from ofmon.switch import (
     FLOW_RECORD_PRIORITY,
     FlowEntry,
@@ -178,6 +178,25 @@ class TestRecordAccounting:
         for p in trace:
             expect[flow_key_of(p)] = expect.get(flow_key_of(p), 0) + 1
         assert by_key == expect
+
+    @pytest.mark.parametrize("run", [
+        replay, lambda trace, cfg, controller: replay_flows(trace, generate_rules(cfg), controller)
+    ], ids=["packets", "flows"])
+    def test_peak_occupancy_counts_live_entries_only(self, run):
+        # A's entry expires at 3 ms, before B's is installed at 5 ms
+        trace = [pkt(ts=0), pkt(ts=2 * MS), pkt(ts=3 * MS, sport=2), pkt(ts=10 * MS, sport=3)]
+        result = run(trace, RATE_ONE, cc(delay=2 * MS, idle=1 * MS))
+        assert result.entries_installed == 2
+        assert result.peak_record_entries == 1
+        # A's entry still matches at its expiry instant, when B's is installed
+        trace = [pkt(ts=0), pkt(ts=1 * MS, sport=2), pkt(ts=5 * MS, sport=3)]
+        result = run(trace, RATE_ONE, cc(delay=0, idle=1 * MS))
+        assert result.entries_installed == 2
+        assert result.peak_record_entries == 2
+
+    def test_per_flow_replay_rejects_a_trace_out_of_time_order(self):
+        with pytest.raises(ValueError, match="behind"):
+            replay_flows([pkt(ts=5), pkt(ts=4, sport=2)], generate_rules(RATE_ONE), cc())
 
 
 class TestFinalizePending:

@@ -27,7 +27,7 @@ from ofmon.sampling import (
     generate_rules,
     sampled_keys,
 )
-from ofmon.simulate import Simulation
+from ofmon.simulate import Simulation, replay_flows
 from ofmon.traceio import ExponentialGap, Geometric, SyntheticSpec, ZipfSkewed, generate_trace
 
 from helpers import pkt, random_trace
@@ -223,18 +223,19 @@ keys_strategy = st.builds(
 
 
 @st.composite
-def bursty_trace(draw, idle_ns):
+def bursty_trace(draw, idle_ns, tick_ns=1):
     """Bursts of 1-20 packets on a few keys; a key may burst again later, and
-    gaps fall on both sides of the idle timeout."""
+    gaps fall on both sides of the idle timeout.  Times are multiples of
+    tick_ns: a coarse tick lands packets on expiry and install instants."""
     keys = draw(st.lists(keys_strategy, min_size=1, max_size=6, unique=True))
     packets = []
     for _ in range(draw(st.integers(1, 8))):
         key = draw(st.sampled_from(keys))
-        t = draw(st.integers(0, 20 * idle_ns))
+        t = draw(st.integers(0, 20 * idle_ns // tick_ns)) * tick_ns
         length = draw(st.integers(64, 1500))
         for _ in range(draw(st.integers(1, 20))):
             packets.append(PacketRecord(t, *key, length))
-            t += draw(st.integers(0, 2 * idle_ns))
+            t += draw(st.integers(0, 2 * idle_ns // tick_ns)) * tick_ns
     packets.sort(key=lambda p: p.timestamp_ns)
     return packets
 
@@ -265,6 +266,50 @@ def test_sampled_flows_equal_those_of_a_full_replay(data):
             merged_sizes(result.records).values())
 
 
+REPLAY_RATES = [Fraction(1), Fraction(1, 2), Fraction(3, 7)]
+
+
+def _ordered(records):
+    return sorted(records, key=lambda r: (r.first_seen_ns, r.key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_per_flow_replay_equals_the_packet_replay(data):
+    idle = data.draw(st.integers(1, 10), label="idle_ms") * MS
+    tick = data.draw(st.sampled_from([1, MS]), label="tick_ns")
+    controller = ControllerConfig(
+        install_delay_ns=data.draw(st.integers(0, 20), label="delay_ms") * MS,
+        idle_timeout_ns=idle,
+        hard_timeout_ns=data.draw(st.one_of(st.just(0), st.integers(idle // tick, 4 * idle // tick)),
+                                  label="hard_ticks") * tick,
+    )
+    trace = data.draw(bursty_trace(idle, tick), label="trace")
+    method, mode = data.draw(st.sampled_from(CELLS), label="cell")
+    rate = data.draw(st.sampled_from(REPLAY_RATES), label="rate")
+    cfg = config_for_rate(method, mode, rate, data.draw(st.integers(0, 2**64 - 1), label="seed"))
+    sim = Simulation(cfg, controller)
+    removed = []
+
+    def on_flow_removed(event, close=sim.controller.on_flow_removed):
+        removed.append(event)
+        return close(event)
+
+    sim.controller.on_flow_removed = on_flow_removed
+    expected = sim.run(trace)
+    got = replay_flows(trace, generate_rules(cfg), controller)
+
+    assert _ordered(got.records) == _ordered(expected.records)
+    assert got.redundant_packets_by_protocol == expected.redundant_packets_by_protocol
+    assert got.redundant_bytes_by_protocol == expected.redundant_bytes_by_protocol
+    assert got.entries_installed == expected.entries_installed == len(removed)
+    assert (got.flows_seen, got.flows_sampled) == (expected.flows_seen, expected.flows_sampled)
+    # brute force: the most entries live (install <= t <= expiry) at any install instant
+    lifetimes = [(e.entry.install_time_ns, e.removal_time_ns) for e in removed]
+    peak = max((sum(s <= t <= end for s, end in lifetimes) for t, _ in lifetimes), default=0)
+    assert got.peak_record_entries == expected.peak_record_entries == peak
+
+
 def _replayed_trials(trace, method, mode, rate, trials, seed, controller, metric):
     """The reference: one full replay per trial, as the trials once ran."""
     method = SamplingMethod(method)
@@ -275,7 +320,7 @@ def _replayed_trials(trace, method, mode, rate, trials, seed, controller, metric
     values = []
     for trial in range(trials):
         cfg = replace(base, seed=derive_seed(seed, trial))
-        values.append(metric(Simulation(cfg, controller, track_flows=False).run(trace)))
+        values.append(metric(Simulation(cfg, controller).run(trace)))
     return realized, tuple(values)
 
 

@@ -113,6 +113,20 @@ class TestCsvValidation:
         with pytest.raises(TraceFormatError, match="length"):
             self.read_all(path)
 
+    @pytest.mark.parametrize("row", [
+        "\u0661_0 ,1.2.3.4,5.6.7.8,\uff18\uff10,20,TCP,64",  # Arabic-Indic 1, fullwidth 80
+        "1_0,1.2.3.4,5.6.7.8,10,20,TCP,64",
+        " 10,1.2.3.4,5.6.7.8,10,20,TCP,64",
+        "+10,1.2.3.4,5.6.7.8,10,20,TCP,64",
+        "10,1.2.3.4,5.6.7.8,10,20,TCP,6\u0664",
+        "10,1.2.3.4,5.6.7.8,1-0,20,TCP,64",
+    ])
+    def test_integer_fields_take_ascii_digits_only(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{HEADER}\n{ROW}\n{row}\n".encode())
+        with pytest.raises(TraceFormatError, match="line 3"):
+            self.read_all(str(path))
+
     def test_non_numeric_field(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", HEADER, "zero,1.2.3.4,5.6.7.8,10,20,TCP,64")
         with pytest.raises(TraceFormatError, match="line 2"):
