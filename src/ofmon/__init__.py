@@ -6,7 +6,7 @@ from .evaluation import (
     run_rate_experiment,
     run_wmrd_experiment,
 )
-from .model import PacketRecord, Protocol, flow_key_of, flow_sizes
+from .model import FlowKey, PacketRecord, Protocol, flow_key_of, flow_sizes
 from .sampling import (
     SamplingConfig,
     SamplingMethod,
@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ControllerConfig",
+    "FlowKey",
     "Geometric",
     "PacketRecord",
     "Protocol",

@@ -24,7 +24,7 @@ from .evaluation import (
     run_rate_experiment,
     run_wmrd_experiment,
 )
-from .model import flow_sizes
+from .model import ascii_number, flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate, derive_seed, generate_rules
 from .simulate import replay_flows
 from .traceio import (
@@ -47,6 +47,14 @@ DEFAULT_OVERHEAD_DELAYS_MS = [1, 5, 10, 20, 50, 100]
 
 class ConfigError(Exception):
     """Campaign or CLI configuration is unusable."""
+
+
+def parse_at(where: str, parse, text: str):
+    """parse(text); a bad value is a ConfigError that names its flag or config path."""
+    try:
+        return parse(text)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 _DIST_SCHEMA = {
@@ -232,6 +240,8 @@ def parse_rate(text: str) -> Fraction:
     """An exact rate in (0, 1] from '1/64', '0.25' or '1e-400'."""
     if len(text) > _RATE_MAX_DIGITS:
         raise ConfigError(f"bad rate {text[:20]!r}...: over {_RATE_MAX_DIGITS} characters")
+    if not ascii_number(text, "./eE+-"):
+        raise ConfigError(f"bad rate {text!r}: only ASCII digits, '.', '/', 'e' and signs")
     _, e, exponent = text.lower().partition("e")
     try:
         huge = bool(e) and abs(int(exponent)) > _RATE_MAX_DIGITS
@@ -343,7 +353,7 @@ def load_campaign(path: str) -> CampaignConfig:
         (SamplingMethod(item["method"]), SamplingMode(item.get("mode", "source")))
         for item in raw["sampling"]
     )
-    rates = tuple(parse_rate(r) for r in raw["rates"])
+    rates = tuple(parse_at(f"rates/{i}", parse_rate, r) for i, r in enumerate(raw["rates"]))
     timeouts = raw.get("timeouts", {})
     try:
         controller = ControllerConfig(
@@ -354,7 +364,7 @@ def load_campaign(path: str) -> CampaignConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     overhead = raw.get("overhead", {})
-    overhead_rate = parse_rate(overhead.get("rate", "1"))
+    overhead_rate = parse_at("overhead/rate", parse_rate, overhead.get("rate", "1"))
     if "overhead" in raw["experiments"] and overhead_rate != 1 and len(sampling) > 1:
         raise ConfigError(
             "campaign config invalid at overhead/rate: a rate other than 1 runs one"
@@ -365,7 +375,7 @@ def load_campaign(path: str) -> CampaignConfig:
     if workers is None:
         text = os.environ.get(WORKERS_ENV) or "1"
         try:
-            workers = int(text)
+            workers = int(text) if ascii_number(text) else 0
         except ValueError:
             workers = 0
         if workers < 1:
@@ -384,7 +394,7 @@ def load_campaign(path: str) -> CampaignConfig:
             _ms_to_ns(d) for d in overhead.get("delays_ms", DEFAULT_OVERHEAD_DELAYS_MS)
         ),
         overhead_rate=overhead_rate,
-        export_rate=parse_rate(export["rate"]) if "rate" in export else rates[0],
+        export_rate=parse_at("export/rate", parse_rate, export.get("rate", raw["rates"][0])),
         export_format=export.get("format", "jsonl"),
         output_dir=raw.get("output_dir"),
         workers=workers,

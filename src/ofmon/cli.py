@@ -8,10 +8,11 @@ import dataclasses
 import os
 import re
 import sys
+from fractions import Fraction
 
-from .campaign import ConfigError, load_campaign, parse_rate, run_campaign
+from .campaign import ConfigError, load_campaign, parse_at, parse_rate, run_campaign
 from .controller import ControllerConfig, export_records
-from .model import flow_sizes
+from .model import ascii_number, flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate, generate_rules
 from .simulate import replay_flows
 from .traceio import (
@@ -30,31 +31,42 @@ from .traceio import (
     write_csv_trace,
 )
 
-_DURATION_RE = re.compile(r"^(\d+(?:\.\d+)?)(ns|us|ms|s|m)?$")
+_DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(ns|us|ms|s|m)?")
 _DURATION_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000, "m": 60_000_000_000}
 
 
+def ascii_int(text: str) -> int:
+    """int(text) for ASCII digits and '-' only."""
+    if not ascii_number(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+def ascii_float(text: str) -> float:
+    """float(text) for ASCII digits, '.', an exponent and signs only."""
+    if not ascii_number(text, ".eE+-"):
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)
+
+
 def parse_duration_ns(text: str) -> int:
-    """'15s', '30ms', '100us', '250000ns' (bare numbers mean ns) -> int ns."""
-    m = _DURATION_RE.match(text.strip())
+    """'15s', '30ms', '100us', '250000ns' (bare numbers mean ns) -> int ns, exactly."""
+    m = _DURATION_RE.fullmatch(text)
     if not m:
         raise ConfigError(f"bad duration {text!r} (use e.g. 15s, 30ms, 100us)")
     value, unit = m.groups()
-    return int(round(float(value) * _DURATION_NS[unit or "ns"]))
+    return round(Fraction(value) * _DURATION_NS[unit or "ns"])
 
 
 def _parse_sizes(token: str):
     kind, _, rest = token.partition(":")
-    try:
-        if kind == "geometric":
-            return Geometric(float(rest))
-        if kind == "pareto":
-            alpha, _, min_size = rest.partition(":")
-            return ParetoDiscrete(float(alpha), int(min_size) if min_size else 1)
-        if kind == "fixed":
-            return Fixed(int(rest))
-    except ValueError as exc:
-        raise ConfigError(f"bad size distribution {token!r}: {exc}") from exc
+    if kind == "geometric":
+        return Geometric(ascii_float(rest))
+    if kind == "pareto":
+        alpha, _, min_size = rest.partition(":")
+        return ParetoDiscrete(ascii_float(alpha), ascii_int(min_size) if min_size else 1)
+    if kind == "fixed":
+        return Fixed(ascii_int(rest))
     raise ConfigError(f"unknown size distribution {token!r} (geometric:P, pareto:A[:MIN], fixed:K)")
 
 
@@ -63,10 +75,7 @@ def _parse_keymode(token: str):
         return UniformRandom()
     kind, _, skew = token.partition(":")
     if kind == "zipf" and skew:
-        try:
-            return ZipfSkewed(float(skew))
-        except ValueError as exc:
-            raise ConfigError(f"bad key mode {token!r}: {exc}") from exc
+        return ZipfSkewed(ascii_float(skew))
     raise ConfigError(f"unknown key mode {token!r} (uniform or zipf:S)")
 
 
@@ -90,12 +99,12 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
             raise ConfigError("either --flows or --randomize is required")
         spec = SyntheticSpec(
             flow_count=args.flows,
-            size_distribution=_parse_sizes(args.sizes),
-            ip_mode=_parse_keymode(args.ips),
-            port_mode=_parse_keymode(args.ports),
+            size_distribution=parse_at("--sizes", _parse_sizes, args.sizes),
+            ip_mode=parse_at("--ips", _parse_keymode, args.ips),
+            port_mode=parse_at("--ports", _parse_keymode, args.ports),
             tcp_fraction=args.tcp_fraction,
-            gap=_parse_gaps(args.gaps),
-            duration_ns=parse_duration_ns(args.duration),
+            gap=parse_at("--gaps", _parse_gaps, args.gaps),
+            duration_ns=parse_at("--duration", parse_duration_ns, args.duration),
             seed=args.seed,
         )
         packets = generate_trace(spec)
@@ -110,12 +119,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     """Replay one trace through the monitoring pipeline and export records."""
     if not os.path.isfile(args.trace):
         raise ConfigError(f"trace not found: {args.trace}")
-    target = parse_rate(args.rate)
+    target = parse_at("--rate", parse_rate, args.rate)
     sampling = config_for_rate(args.method, args.mode, target, args.seed)
     controller = ControllerConfig(
-        install_delay_ns=parse_duration_ns(args.delay),
-        idle_timeout_ns=parse_duration_ns(args.idle),
-        hard_timeout_ns=parse_duration_ns(args.hard),
+        install_delay_ns=parse_at("--delay", parse_duration_ns, args.delay),
+        idle_timeout_ns=parse_at("--idle", parse_duration_ns, args.idle),
+        hard_timeout_ns=parse_at("--hard", parse_duration_ns, args.hard),
     )
     rules = generate_rules(sampling)
     result = replay_flows(read_csv_trace(args.trace), rules, controller)
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--idle", default="15s", help="idle timeout (default 15s)")
     p_sim.add_argument("--hard", default="0", help="hard timeout, 0 disables (default)")
     p_sim.add_argument("--delay", default="0", help="entry install delay (default 0)")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=ascii_int, default=0)
     p_sim.add_argument("--out", required=True, help="flow record output file")
     p_sim.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_sim.set_defaults(func=cmd_simulate)
@@ -169,19 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp = sub.add_parser("campaign", help="run a declarative experiment campaign")
     p_camp.add_argument("config", help="campaign JSON file")
     p_camp.add_argument("--out", help="output directory (overrides config)")
-    p_camp.add_argument("--workers", type=int, help=f"worker processes (or ${'{'}OFMON_WORKERS{'}'})")
+    p_camp.add_argument("--workers", type=ascii_int, help=f"worker processes (or ${'{'}OFMON_WORKERS{'}'})")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_gen = sub.add_parser("gen", help="generate or randomize a trace")
-    p_gen.add_argument("--flows", type=int, help="synthetic flow count")
+    p_gen.add_argument("--flows", type=ascii_int, help="synthetic flow count")
     p_gen.add_argument("--sizes", default="geometric:0.5", help="geometric:P | pareto:A[:MIN] | fixed:K")
     p_gen.add_argument("--ips", default="uniform", help="uniform | zipf:S")
     p_gen.add_argument("--ports", default="uniform", help="uniform | zipf:S")
-    p_gen.add_argument("--tcp-fraction", type=float, default=0.8, dest="tcp_fraction")
+    p_gen.add_argument("--tcp-fraction", type=ascii_float, default=0.8, dest="tcp_fraction")
     p_gen.add_argument("--gaps", default="exp:50ms", help="exp:DUR | fixed:DUR")
     p_gen.add_argument("--duration", default="1s", help="flow start-time window")
     p_gen.add_argument("--randomize", metavar="TRACE", help="randomize keys of TRACE instead")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=ascii_int, default=0)
     p_gen.add_argument("-o", "--out", required=True, help="output trace CSV (.gz ok)")
     p_gen.set_defaults(func=cmd_gen_trace)
 

@@ -20,7 +20,6 @@ from .model import (
     FlowKey,
     FlowRecord,
     Protocol,
-    flow_key_of,
     format_ip,
 )
 from .switch import (
@@ -121,7 +120,7 @@ class MonitoringController:
         if event.table_id != MONITORING_TABLE:
             return None
         pkt = event.packet
-        key = flow_key_of(pkt)
+        key = pkt.key
         if key in self._active:
             raise ControllerStateError(
                 f"packet-in for flow {key} which already has an active record entry"

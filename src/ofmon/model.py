@@ -22,18 +22,6 @@ class ExpiryReason(enum.Enum):
     END_OF_TRACE = "eot"
 
 
-class PacketRecord(NamedTuple):
-    """One trace packet: nanosecond timestamp, IPv4 5-tuple and IP length."""
-
-    timestamp_ns: int
-    src_ip: int
-    dst_ip: int
-    src_port: int
-    dst_port: int
-    protocol: Protocol
-    length_bytes: int
-
-
 class FlowKey(NamedTuple):
     """Unidirectional flow identity: the exact 5-tuple.
 
@@ -48,11 +36,17 @@ class FlowKey(NamedTuple):
     protocol: Protocol
 
 
+class PacketRecord(NamedTuple):
+    """One trace packet: nanosecond timestamp, its flow and its IP length."""
+
+    timestamp_ns: int
+    key: FlowKey
+    length_bytes: int
+
+
 def flow_key_of(packet: PacketRecord) -> FlowKey:
-    """Project a packet onto the flow it belongs to."""
-    return FlowKey(
-        packet.src_ip, packet.dst_ip, packet.src_port, packet.dst_port, packet.protocol
-    )
+    """The flow a packet belongs to."""
+    return packet.key
 
 
 def flow_sizes(packets: Iterable[PacketRecord]) -> Counter[FlowKey]:
@@ -87,3 +81,13 @@ def format_ip(addr: int) -> str:
 def parse_ip(text: str) -> int:
     """Dotted quad to 32-bit integer; raises ValueError on anything else."""
     return int(ipaddress.IPv4Address(text))
+
+
+def ascii_number(text: str, symbols: str = "-") -> bool:
+    """Whether `text` holds nothing but ASCII digits and `symbols`.
+
+    int(), float() and Fraction() also read other scripts' digits, '_' and
+    surrounding spaces, so a number from outside the program passes this
+    check first; the parser then rejects a symbol out of place.
+    """
+    return not text.strip("0123456789" + symbols)

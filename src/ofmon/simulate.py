@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .controller import ControllerConfig, MonitoringController, ScheduledFlowMod
-from .model import ExpiryReason, FlowKey, FlowRecord, PacketRecord, flow_key_of
+from .model import ExpiryReason, FlowKey, FlowRecord, PacketRecord
 from .sampling import RuleSet, SamplingConfig, generate_rules, key_sampler, select_bucket
 from .switch import (
     DEFAULT_PRIORITY,
@@ -93,7 +93,7 @@ class Simulation:
                 occupancy = switch.active_entry_count(FLOW_RECORD_PRIORITY)
                 if occupancy > peak:
                     peak = occupancy
-            seen.add(flow_key_of(pkt))
+            seen.add(pkt.key)
             for event in switch.process_packet(pkt):
                 if type(event) is PacketIn:
                     mod = controller.on_packet_in(event)
@@ -182,7 +182,7 @@ def replay_flows(
     cfg = controller_config or ControllerConfig()
     delay, idle, hard = cfg.install_delay_ns, cfg.idle_timeout_ns, cfg.hard_timeout_ns
     is_sampled = key_sampler(rule_set)
-    flows: dict[tuple, _Flow | bool] = {}  # every key seen; False when not sampled
+    flows: dict[FlowKey, _Flow | bool] = {}  # every key seen; False when not sampled
     records: list[FlowRecord] = []
     lifetimes: list[tuple[int, int]] = []  # (install, expiry) of every applied install
     redundant_packets: Counter = Counter()
@@ -198,31 +198,29 @@ def replay_flows(
         return idle_at, ExpiryReason.IDLE_TIMEOUT
 
     ts = 0  # the switch clock starts at 0 too
-    for pkt in trace:
-        if pkt[0] < ts:
-            raise ValueError(f"packet timestamp {pkt[0]} behind the previous one, {ts}")
-        ts = pkt[0]
-        key = pkt[1:6]
+    for now, key, length in trace:
+        if now < ts:
+            raise ValueError(f"packet timestamp {now} behind the previous one, {ts}")
+        ts = now
         flow = flows.get(key)
         if not flow:
             if flow is None:  # first packet of this key: first PacketIn if sampled
-                key = FlowKey(*key)
-                flows[key] = is_sampled(key) and requested(key, ts, pkt[6])
+                flows[key] = is_sampled(key) and requested(key, ts, length)
             continue
         if ts < flow.install_ns:  # entry still in flight: a redundant PacketIn
             flow.last_seen_ns = ts
             flow.controller_packets += 1
-            flow.controller_bytes += pkt[6]
-            redundant_packets[flow.key.protocol] += 1
-            redundant_bytes[flow.key.protocol] += pkt[6]
+            flow.controller_bytes += length
+            redundant_packets[key.protocol] += 1
+            redundant_bytes[key.protocol] += length
         elif ts > flow.last_match_ns + idle or (hard and ts > flow.install_ns + hard):
             instant, reason = expiry(flow)  # evicted before this packet: a new PacketIn
             records.append(_record(flow, reason))
             lifetimes.append((flow.install_ns, instant))
-            flows[key] = requested(flow.key, ts, pkt[6])
+            flows[key] = requested(key, ts, length)
         else:
             flow.packets += 1
-            flow.bytes += pkt[6]
+            flow.bytes += length
             flow.last_match_ns = ts
 
     if flows:

@@ -87,25 +87,25 @@ class MatchFields:
             return None
         return FlowKey(self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
 
-    def matches(self, pkt: PacketRecord | FlowKey) -> bool:
-        """Whether a packet, or any packet of a flow key, hits this match."""
-        if self.src_ip is not None and (pkt.src_ip & self.src_ip_mask) != (
+    def matches(self, key: FlowKey) -> bool:
+        """Whether the packets of a flow hit this match."""
+        if self.src_ip is not None and (key.src_ip & self.src_ip_mask) != (
             self.src_ip & self.src_ip_mask
         ):
             return False
-        if self.dst_ip is not None and (pkt.dst_ip & self.dst_ip_mask) != (
+        if self.dst_ip is not None and (key.dst_ip & self.dst_ip_mask) != (
             self.dst_ip & self.dst_ip_mask
         ):
             return False
-        if self.src_port is not None and pkt.src_port != self.src_port:
+        if self.src_port is not None and key.src_port != self.src_port:
             return False
-        if self.dst_port is not None and pkt.dst_port != self.dst_port:
+        if self.dst_port is not None and key.dst_port != self.dst_port:
             return False
-        if self.src_port_in is not None and pkt.src_port not in self.src_port_in:
+        if self.src_port_in is not None and key.src_port not in self.src_port_in:
             return False
-        if self.dst_port_in is not None and pkt.dst_port not in self.dst_port_in:
+        if self.dst_port_in is not None and key.dst_port not in self.dst_port_in:
             return False
-        if self.protocol is not None and pkt.protocol != self.protocol:
+        if self.protocol is not None and key.protocol != self.protocol:
             return False
         return True
 
@@ -330,9 +330,8 @@ class Switch:
             raise SwitchError(f"packet timestamp {ts} behind switch clock {self._clock_ns}")
         events: list[SwitchEvent] = self._evict_expired(ts)
         self._clock_ns = ts
-        key = FlowKey(pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.protocol)
 
-        entry = self._lookup(pkt, key, ts)
+        entry = self._lookup(pkt.key, ts)
         if entry is None:
             raise TableStateError(
                 f"packet at {ts}ns matched nothing in table 0: catch-all entry missing"
@@ -354,7 +353,7 @@ class Switch:
             if cls is OutputToController:
                 events.append(PacketIn(packet=pkt, table_id=MONITORING_TABLE))
             elif cls is Group:
-                forwarded += self._run_group(act.group_id, pkt, key, events)
+                forwarded += self._run_group(act.group_id, pkt, events)
             # Drop: nothing to do
         if forwarded != 1:
             raise TableStateError(
@@ -364,7 +363,7 @@ class Switch:
 
     # -- internals ------------------------------------------------------------
 
-    def _run_group(self, group_id: int, pkt: PacketRecord, key: FlowKey, events: list) -> int:
+    def _run_group(self, group_id: int, pkt: PacketRecord, events: list) -> int:
         group = self._groups.get(group_id)
         if group is None:
             raise GroupError(f"entry references unknown group {group_id}")
@@ -373,7 +372,7 @@ class Switch:
         else:
             if self._selector is None:
                 raise GroupError("multi-bucket group used without a bucket selector")
-            bucket = group.buckets[self._selector(group, key)]
+            bucket = group.buckets[self._selector(group, pkt.key)]
         forwarded = 0
         for act in bucket.actions:
             cls = type(act)
@@ -385,8 +384,8 @@ class Switch:
                 forwarded += 1
         return forwarded
 
-    def _lookup(self, pkt: PacketRecord, key: FlowKey, ts: int) -> FlowEntry | None:
-        """First entry active at ts that matches pkt, in _rank order."""
+    def _lookup(self, key: FlowKey, ts: int) -> FlowEntry | None:
+        """First entry active at ts that matches the flow, in _rank order."""
         best = None
         best_rank = None
         for rank, e in self._exact.get(key, ()):  # match holds by key equality
@@ -396,7 +395,7 @@ class Switch:
         for rank, e in self._wildcard:
             if best_rank is not None and rank > best_rank:
                 break
-            if e.install_time_ns <= ts and e.match.matches(pkt):
+            if e.install_time_ns <= ts and e.match.matches(key):
                 return e
         return best
 

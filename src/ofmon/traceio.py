@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import PacketRecord, Protocol, flow_key_of, format_ip, parse_ip
+from .model import FlowKey, PacketRecord, Protocol, ascii_number, format_ip, parse_ip
 
 CSV_HEADER = ["ts_ns", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "len"]
 
@@ -58,10 +58,7 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                     continue
                 if len(row) != len(CSV_HEADER):
                     raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
-                ints = row[0] + row[3] + row[4] + row[6]
-                # int() alone also takes other scripts' digits, '_', '+' and
-                # spaces; a '-' anywhere but first still fails int() below
-                if not (ints.isascii() and ints.replace("-", "").isdigit()):
+                if not ascii_number(row[0] + row[3] + row[4] + row[6]):
                     raise TraceFormatError(
                         f"line {lineno}: ts_ns, src_port, dst_port and len must be ASCII"
                         f" integers, got {row[0]!r}, {row[3]!r}, {row[4]!r}, {row[6]!r}"
@@ -89,15 +86,8 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                 if length < 1:
                     raise TraceFormatError(f"line {lineno}: packet length must be >= 1")
                 prev_ts = ts
-                yield PacketRecord(
-                    timestamp_ns=ts,
-                    src_ip=src_ip,
-                    dst_ip=dst_ip,
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    protocol=Protocol[proto_token],
-                    length_bytes=length,
-                )
+                key = FlowKey(src_ip, dst_ip, src_port, dst_port, Protocol[proto_token])
+                yield PacketRecord(ts, key, length)
     except (OSError, EOFError, zlib.error, csv.Error) as exc:
         raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc
 
@@ -108,16 +98,16 @@ def write_csv_trace(packets: Iterable[PacketRecord], path: str) -> int:
     with _open_text(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for p in packets:
+        for ts, key, length in packets:
             writer.writerow(
                 [
-                    p.timestamp_ns,
-                    format_ip(p.src_ip),
-                    format_ip(p.dst_ip),
-                    p.src_port,
-                    p.dst_port,
-                    p.protocol.name,
-                    p.length_bytes,
+                    ts,
+                    format_ip(key.src_ip),
+                    format_ip(key.dst_ip),
+                    key.src_port,
+                    key.dst_port,
+                    key.protocol.name,
+                    length,
                 ]
             )
             count += 1
@@ -134,8 +124,8 @@ class Geometric:
     p: float
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise ValueError("geometric parameter must lie in (0, 1]")
+        if not 0 < self.p <= 1 or 1.0 - self.p == 1.0:  # the draw divides by log(1 - p)
+            raise ValueError(f"geometric p must lie in (0, 1] with 1 - p < 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +138,12 @@ class ParetoDiscrete:
     def __post_init__(self):
         if self.alpha <= 0 or self.min_size < 1:
             raise ValueError("pareto needs alpha > 0 and min_size >= 1")
+        try:  # the largest draw, at 1 - random() = 2**-53, as _size_drawer computes it
+            finite = math.isfinite(self.min_size / (2.0 ** -53) ** (1.0 / self.alpha))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError(f"pareto alpha {self.alpha} and min_size draw sizes beyond a float")
 
 
 @dataclass(frozen=True)
@@ -292,35 +288,24 @@ def generate_trace(spec: SyntheticSpec) -> list[PacketRecord]:
     draw_size = _size_drawer(spec.size_distribution)
     draw_gap = _gap_drawer(spec.gap)
 
-    used_keys: set[tuple] = set()
+    used_keys: set[FlowKey] = set()
     packets: list[PacketRecord] = []
     for _ in range(spec.flow_count):
         for attempt in range(1000):
             protocol = Protocol.TCP if rng.random() < spec.tcp_fraction else Protocol.UDP
             if attempt < 10:
-                key = (draw_ip(rng), draw_ip(rng), draw_port(rng), draw_port(rng), protocol)
+                key = FlowKey(draw_ip(rng), draw_ip(rng), draw_port(rng), draw_port(rng), protocol)
             else:  # skewed draws can collide a lot; fall back to uniform ports
-                key = (draw_ip(rng), draw_ip(rng), rng.randint(1, 65535), rng.randint(1, 65535), protocol)
+                key = FlowKey(draw_ip(rng), draw_ip(rng), rng.randint(1, 65535), rng.randint(1, 65535), protocol)
             if key not in used_keys:
                 break
         else:
             raise RuntimeError("could not draw a fresh flow key; key space exhausted")
         used_keys.add(key)
-        src_ip, dst_ip, src_port, dst_port, protocol = key
         size = draw_size(rng)
         ts = rng.randrange(spec.duration_ns)
         for _ in range(size):
-            packets.append(
-                PacketRecord(
-                    timestamp_ns=ts,
-                    src_ip=src_ip,
-                    dst_ip=dst_ip,
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    protocol=protocol,
-                    length_bytes=_packet_length(rng, protocol),
-                )
-            )
+            packets.append(PacketRecord(ts, key, _packet_length(rng, protocol)))
             ts += draw_gap(rng)
     packets.sort(key=lambda p: p.timestamp_ns)  # stable: flow order breaks ties
     return packets
@@ -341,34 +326,23 @@ def randomize_trace(trace: Iterable[PacketRecord], seed: int) -> list[PacketReco
     timestamps and the flow size distribution are untouched.
     """
     rng = random.Random(seed)
-    mapping: dict = {}
-    used: set[tuple] = set()
+    mapping: dict[FlowKey, FlowKey] = {}
+    used: set[FlowKey] = set()
     out = []
     for pkt in trace:
-        key = flow_key_of(pkt)
-        fresh = mapping.get(key)
+        fresh = mapping.get(pkt.key)
         if fresh is None:
             while True:
-                fresh = (
+                fresh = FlowKey(
                     rng.getrandbits(32),
                     rng.getrandbits(32),
                     rng.randint(1, 65535),
                     rng.randint(1, 65535),
-                    key.protocol,
+                    pkt.key.protocol,
                 )
                 if fresh not in used:
                     break
             used.add(fresh)
-            mapping[key] = fresh
-        out.append(
-            PacketRecord(
-                timestamp_ns=pkt.timestamp_ns,
-                src_ip=fresh[0],
-                dst_ip=fresh[1],
-                src_port=fresh[2],
-                dst_port=fresh[3],
-                protocol=pkt.protocol,
-                length_bytes=pkt.length_bytes,
-            )
-        )
+            mapping[pkt.key] = fresh
+        out.append(pkt._replace(key=fresh))
     return out

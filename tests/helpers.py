@@ -2,7 +2,7 @@
 
 import random
 
-from ofmon.model import PacketRecord, Protocol, parse_ip
+from ofmon.model import FlowKey, PacketRecord, Protocol, parse_ip
 
 
 def pkt(ts=0, src="10.0.0.1", dst="10.0.0.2", sport=1234, dport=80,
@@ -10,11 +10,13 @@ def pkt(ts=0, src="10.0.0.1", dst="10.0.0.2", sport=1234, dport=80,
     """One packet with friendly defaults; IPs accepted as dotted quads."""
     return PacketRecord(
         timestamp_ns=ts,
-        src_ip=parse_ip(src) if isinstance(src, str) else src,
-        dst_ip=parse_ip(dst) if isinstance(dst, str) else dst,
-        src_port=sport,
-        dst_port=dport,
-        protocol=Protocol(proto),
+        key=FlowKey(
+            src_ip=parse_ip(src) if isinstance(src, str) else src,
+            dst_ip=parse_ip(dst) if isinstance(dst, str) else dst,
+            src_port=sport,
+            dst_port=dport,
+            protocol=Protocol(proto),
+        ),
         length_bytes=length,
     )
 
@@ -24,7 +26,7 @@ def random_trace(n_flows, seed, packets_per_flow=1, gap_ns=1_000_000):
     rng = random.Random(seed)
     keys = set()
     while len(keys) < n_flows:
-        keys.add((
+        keys.add(FlowKey(
             rng.getrandbits(32),
             rng.getrandbits(32),
             rng.randint(1, 65535),
@@ -35,6 +37,6 @@ def random_trace(n_flows, seed, packets_per_flow=1, gap_ns=1_000_000):
     t = 0
     for key in sorted(keys):
         for _ in range(packets_per_flow):
-            out.append(PacketRecord(t, *key, rng.randint(64, 1500)))
+            out.append(PacketRecord(t, key, rng.randint(64, 1500)))
             t += gap_ns
     return out

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from ofmon import (
     ControllerConfig,
+    FlowKey,
     PacketRecord,
     Protocol,
     SamplingConfig,
@@ -108,8 +109,7 @@ def service_mix_trace():
                 break
         ts = rng.randrange(2_000_000_000)
         for _ in range(15):
-            heavy.append(PacketRecord(ts, key[0], key[1], key[2], key[3],
-                                      Protocol.TCP, 1500))
+            heavy.append(PacketRecord(ts, FlowKey(*key, Protocol.TCP), 1500))
             ts += 2 * MS
     light = generate_trace(SyntheticSpec(
         flow_count=25_000, size_distribution=Geometric(0.6),
@@ -261,7 +261,7 @@ def _small_trace(seed, n_flows, max_packets):
                rng.randint(1, 65535),
                Protocol.TCP if rng.random() < 0.5 else Protocol.UDP)
         for _ in range(rng.randint(1, max_packets)):
-            packets.append(PacketRecord(t, *key, rng.randint(64, 1500)))
+            packets.append(PacketRecord(t, FlowKey(*key), rng.randint(64, 1500)))
             t += rng.randint(0, 3 * MS)
     packets.sort(key=lambda p: p.timestamp_ns)
     return packets
@@ -334,11 +334,11 @@ def _prop_priority_soundness(data):
         ids.append(sw.install_flow_entry(e, install_time_ns=i % 2))
     ids = [i for i in ids if sw.get_entry(i) is not None]
     for ts in range(40):
-        p = PacketRecord(ts, rng.randint(0, 7), rng.getrandbits(32),
-                         rng.randint(1, 4), rng.randint(1, 4),
-                         rng.choice([Protocol.TCP, Protocol.UDP]), 100)
+        p = PacketRecord(ts, FlowKey(rng.randint(0, 7), rng.getrandbits(32),
+                                     rng.randint(1, 4), rng.randint(1, 4),
+                                     rng.choice([Protocol.TCP, Protocol.UDP])), 100)
         matching = [e for e in (sw.get_entry(i) for i in ids)
-                    if e.install_time_ns <= ts and e.match.matches(p)]
+                    if e.install_time_ns <= ts and e.match.matches(p.key)]
         winner = max(matching, key=lambda e: (e.priority, -e.install_time_ns, -e.entry_id),
                      default=None)
         before = {i: sw.get_entry(i).packet_count for i in ids}
@@ -381,7 +381,7 @@ def _prop_eviction_timing(idle, hard, hits, horizon):
         if due is not None and horizon > due[0]:
             expected = due
 
-    p = PacketRecord(0, 1, 2, 3, 4, Protocol.TCP, 64)
+    p = PacketRecord(0, FlowKey(1, 2, 3, 4, Protocol.TCP), 64)
     sw = Switch()
     sw.install_flow_entry(FlowEntry(match=MatchFields(), priority=0,
                                     actions=(GotoTable(),)), install_time_ns=0)

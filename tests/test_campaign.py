@@ -71,7 +71,8 @@ class TestParseRate:
 
     @pytest.mark.parametrize("bad", ["0", "-1/2", "3/2", "1/0", "abc", "1e-999999999",
                                      "1e-3000000", "0e999999999", "1E-999_999_999",
-                                     "1e-\uff19\uff19\uff19\uff19\uff19\uff19", "1e-4300"])
+                                     "1e-\uff19\uff19\uff19\uff19\uff19\uff19", "1e-4300",
+                                     "\u0661/\u0666\u0664", "1_0/640", " 1/8 ", "1/8\n"])
     def test_rejected_forms(self, bad):
         with pytest.raises(ConfigError, match="rate"):
             parse_rate(bad)
@@ -156,6 +157,11 @@ class TestLoadCampaign:
                                                           "mean_ms": float("inf")}}}}, ()),
             ({"install_delay_ms": 1e308}, ()),
             ({"trace": {"csv": ""}}, ()),  # the config's own directory
+            # sizes whose draw would divide by zero
+            ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "geometric", "p": 1e-17}}}},
+             ()),
+            ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "pareto", "alpha": 1e-300}}}},
+             ()),
         ],
     )
     def test_invalid_configs(self, tmp_path, overrides, drop):
@@ -169,6 +175,17 @@ class TestLoadCampaign:
         # without the overhead experiment the rate is unused, so it stays valid
         overrides["experiments"] = ["rate"]
         assert load_campaign(write_config(tmp_path, overrides)).overhead_rate == Fraction(1, 2)
+
+    @pytest.mark.parametrize("overrides,where", [
+        ({"rates": ["1/8", "\u0661/\u0666\u0664"]}, "rates/1"),
+        ({"rates": ["1_0/640"]}, "rates/0"),
+        ({"overhead": {"rate": " 1 "}}, "overhead/rate"),
+        ({"export": {"rate": "\uff11/8"}}, "export/rate"),
+    ])
+    def test_a_rate_takes_ascii_digits_only_and_its_error_names_its_path(
+            self, tmp_path, overrides, where):
+        with pytest.raises(ConfigError, match=where):
+            load_campaign(write_config(tmp_path, overrides))
 
     def test_unreadable_and_unparsable_files(self, tmp_path):
         with pytest.raises(ConfigError):

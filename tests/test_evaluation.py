@@ -234,7 +234,7 @@ def bursty_trace(draw, idle_ns, tick_ns=1):
         t = draw(st.integers(0, 20 * idle_ns // tick_ns)) * tick_ns
         length = draw(st.integers(64, 1500))
         for _ in range(draw(st.integers(1, 20))):
-            packets.append(PacketRecord(t, *key, length))
+            packets.append(PacketRecord(t, key, length))
             t += draw(st.integers(0, 2 * idle_ns // tick_ns)) * tick_ns
     packets.sort(key=lambda p: p.timestamp_ns)
     return packets

@@ -73,29 +73,29 @@ def switch_with_default():
 class TestMatching:
     def test_empty_match_is_a_wildcard(self):
         m = MatchFields()
-        assert m.matches(pkt())
-        assert m.matches(pkt(src="255.255.255.255", sport=65535, proto=Protocol.UDP))
+        assert m.matches(pkt().key)
+        assert m.matches(pkt(src="255.255.255.255", sport=65535, proto=Protocol.UDP).key)
 
     def test_exact_match_covers_only_its_own_key(self):
         p = pkt(sport=4242, dport=53, proto=Protocol.UDP)
         m = MatchFields.exact(flow_key_of(p))
-        assert m.matches(p)
-        assert not m.matches(pkt(sport=4243, dport=53, proto=Protocol.UDP))
-        assert not m.matches(pkt(sport=4242, dport=53, proto=Protocol.TCP))
+        assert m.matches(p.key)
+        assert not m.matches(pkt(sport=4243, dport=53, proto=Protocol.UDP).key)
+        assert not m.matches(pkt(sport=4242, dport=53, proto=Protocol.TCP).key)
 
     def test_suffix_mask_ignores_high_bits(self):
         # low byte must equal 0x2a, the rest is free
         m = MatchFields(src_ip=0x2A, src_ip_mask=0xFF)
-        assert m.matches(pkt(src=0x1234562A))
-        assert m.matches(pkt(src=0x0000002A))
-        assert not m.matches(pkt(src=0x1234562B))
+        assert m.matches(pkt(src=0x1234562A).key)
+        assert m.matches(pkt(src=0x0000002A).key)
+        assert not m.matches(pkt(src=0x1234562B).key)
 
     def test_port_set_membership(self):
         m = MatchFields(src_port_in=frozenset({80, 443}), protocol=Protocol.TCP)
-        assert m.matches(pkt(sport=80))
-        assert m.matches(pkt(sport=443))
-        assert not m.matches(pkt(sport=8080))
-        assert not m.matches(pkt(sport=80, proto=Protocol.UDP))
+        assert m.matches(pkt(sport=80).key)
+        assert m.matches(pkt(sport=443).key)
+        assert not m.matches(pkt(sport=8080).key)
+        assert not m.matches(pkt(sport=80, proto=Protocol.UDP).key)
 
     @given(
         ip=st.integers(0, 2**32 - 1),
@@ -104,7 +104,7 @@ class TestMatching:
     )
     def test_mask_matching_equals_bitwise_formula(self, ip, value, mask):
         m = MatchFields(src_ip=value, src_ip_mask=mask)
-        assert m.matches(pkt(src=ip)) == ((ip & mask) == (value & mask))
+        assert m.matches(pkt(src=ip).key) == ((ip & mask) == (value & mask))
 
 
 class TestPriorityOrder:
@@ -124,7 +124,7 @@ class TestPriorityOrder:
         p = pkt(ts=10)
         a = sw.install_flow_entry(entry(MatchFields(protocol=Protocol.TCP), priority=10),
                                   install_time_ns=0)
-        b = sw.install_flow_entry(entry(MatchFields(src_port=p.src_port), priority=10),
+        b = sw.install_flow_entry(entry(MatchFields(src_port=p.key.src_port), priority=10),
                                   install_time_ns=5)
         sw.process_packet(p)
         assert sw.get_entry(a).packet_count == 1
@@ -169,7 +169,7 @@ class TestPriorityOrder:
                 live = [e for e in map(sw.get_entry, installed) if e is not None]
                 before = {e.entry_id: e.packet_count for e in live}
                 winner = max(
-                    (e for e in live if e.install_time_ns <= ts and e.match.matches(p)),
+                    (e for e in live if e.install_time_ns <= ts and e.match.matches(p.key)),
                     key=lambda e: (e.priority, -e.install_time_ns, -e.entry_id),
                     default=None,
                 )

@@ -20,6 +20,7 @@ from ofmon.traceio import (
     TraceFormatError,
     UniformRandom,
     ZipfSkewed,
+    _size_drawer,
     generate_trace,
     randomize_trace,
     read_csv_trace,
@@ -56,7 +57,7 @@ class TestCsvRoundTrip:
         path = write_lines(tmp_path / "t.csv", HEADER,
                            "0,1.2.3.4,5.6.7.8,10,20,tcp,64")
         (p,) = read_csv_trace(path)
-        assert p.protocol is Protocol.TCP
+        assert p.key.protocol is Protocol.TCP
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", HEADER,
@@ -249,14 +250,14 @@ class TestSyntheticGeneration:
         spec = SyntheticSpec(flow_count=5_000, tcp_fraction=0.25, seed=4)
         protos = Counter()
         for p in generate_trace(spec):
-            protos[flow_key_of(p)] = p.protocol
+            protos[flow_key_of(p)] = p.key.protocol
         share = sum(1 for v in protos.values() if v is Protocol.TCP) / 5_000
         assert abs(share - 0.25) < 0.03
 
     def test_zipf_keys_concentrate(self):
         def top_share(mode, seed):
             spec = SyntheticSpec(flow_count=4_000, ip_mode=mode, seed=seed)
-            srcs = Counter(p.src_ip for p in generate_trace(spec))
+            srcs = Counter(p.key.src_ip for p in generate_trace(spec))
             return max(srcs.values()) / sum(srcs.values())
 
         assert top_share(ZipfSkewed(1.3), 6) > 5 * top_share(UniformRandom(), 6)
@@ -275,11 +276,27 @@ class TestSyntheticGeneration:
             lambda: ZipfSkewed(0.0),
             lambda: ExponentialGap(0),
             lambda: FixedGap(-1),
+            # the draw would divide by zero or overflow
+            lambda: Geometric(1e-17),
+            lambda: Geometric(2.0 ** -54),
+            lambda: ParetoDiscrete(1e-300),
+            lambda: ParetoDiscrete(0.05),
+            lambda: ParetoDiscrete(1.5, min_size=10**400),
         ],
     )
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    @pytest.mark.parametrize(
+        "dist", [Geometric(2.0 ** -53), ParetoDiscrete(0.0518), ParetoDiscrete(1.5, 10**290)]
+    )
+    def test_largest_draw_of_an_accepted_distribution_is_a_size(self, dist):
+        class Top:  # random()'s largest value gives each drawer's largest size
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        assert _size_drawer(dist)(Top()) >= 1
 
 
 class TestRandomizeTrace:
@@ -293,7 +310,7 @@ class TestRandomizeTrace:
         trace, out = self.scrambled()
         assert [p.timestamp_ns for p in out] == [p.timestamp_ns for p in trace]
         assert [p.length_bytes for p in out] == [p.length_bytes for p in trace]
-        assert [p.protocol for p in out] == [p.protocol for p in trace]
+        assert [p.key.protocol for p in out] == [p.key.protocol for p in trace]
 
     def test_key_mapping_is_a_bijection(self):
         trace, out = self.scrambled()
