@@ -24,7 +24,7 @@ from .evaluation import (
     run_rate_experiment,
     run_wmrd_experiment,
 )
-from .model import ascii_number, flow_sizes
+from .model import ascii_int, ascii_number, flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate, derive_seed, generate_rules
 from .simulate import replay_flows
 from .traceio import (
@@ -354,6 +354,11 @@ def load_campaign(path: str) -> CampaignConfig:
         for item in raw["sampling"]
     )
     rates = tuple(parse_at(f"rates/{i}", parse_rate, r) for i, r in enumerate(raw["rates"]))
+    for name, values in (("sampling", sampling), ("rates", rates)):
+        for i, value in enumerate(values):
+            first = values.index(value)
+            if first < i:
+                raise ConfigError(f"campaign config invalid at {name}/{i}: same as {name}/{first}")
     timeouts = raw.get("timeouts", {})
     try:
         controller = ControllerConfig(
@@ -375,7 +380,7 @@ def load_campaign(path: str) -> CampaignConfig:
     if workers is None:
         text = os.environ.get(WORKERS_ENV) or "1"
         try:
-            workers = int(text) if ascii_number(text) else 0
+            workers = ascii_int(text)
         except ValueError:
             workers = 0
         if workers < 1:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .campaign import ConfigError, load_campaign, parse_at, parse_rate, run_campaign
 from .controller import ControllerConfig, export_records
-from .model import ascii_number, flow_sizes
+from .model import ascii_int, ascii_number, flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate, generate_rules
 from .simulate import replay_flows
 from .traceio import (
@@ -33,13 +33,6 @@ from .traceio import (
 
 _DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(ns|us|ms|s|m)?")
 _DURATION_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000, "m": 60_000_000_000}
-
-
-def ascii_int(text: str) -> int:
-    """int(text) for ASCII digits and '-' only."""
-    if not ascii_number(text):
-        raise ValueError(f"not an ASCII integer: {text!r}")
-    return int(text)
 
 
 def ascii_float(text: str) -> float:

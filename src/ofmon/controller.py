@@ -7,7 +7,8 @@ and gets counted as such.  The controller keeps one view per flow, the
 packets it saw directly, from the first PacketIn until the flow's record:
 pending while the entry is in flight, active once it is installed.  When the
 switch evicts the entry, or the trace ends before it was installed, that view
-and the entry counters merge into one flow record.
+and the entry counters merge into one flow record.  `merge_record` is that
+merge's one rule; the per-flow replay applies it too.
 """
 
 import csv
@@ -29,7 +30,6 @@ from .switch import (
     FlowRemovedReason,
     GotoTable,
     MatchFields,
-    MONITORING_TABLE,
     PacketIn,
 )
 
@@ -79,13 +79,30 @@ class ControllerConfig:
 
 
 @dataclass(slots=True)
-class _FlowView:
+class FlowView:
     """The packets of one flow that reached the controller, and when."""
 
     first_seen_ns: int
     last_seen_ns: int
     packets: int
     bytes: int
+
+
+def merge_record(
+    key: FlowKey, view: FlowView, entry_packets: int, entry_bytes: int, last_match_ns: int,
+    reason: FlowRemovedReason,
+) -> FlowRecord:
+    """A flow's record: the controller's view plus its entry's counters.  The
+    flow was last seen at the entry's last match, if the entry matched."""
+    return FlowRecord(
+        key=key,
+        first_seen_ns=view.first_seen_ns,
+        last_seen_ns=last_match_ns if entry_packets else view.last_seen_ns,
+        packet_count=entry_packets + view.packets,
+        byte_count=entry_bytes + view.bytes,
+        controller_packet_count=view.packets,
+        expiry_reason=_REASON_MAP[reason],
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +120,8 @@ class MonitoringController:
     def __init__(self, config: ControllerConfig):
         self.config = config
         self.records: list[FlowRecord] = []
-        self._pending: dict[FlowKey, _FlowView] = {}  # record entry still in flight
-        self._active: dict[FlowKey, _FlowView] = {}  # record entry installed
+        self._pending: dict[FlowKey, FlowView] = {}  # record entry still in flight
+        self._active: dict[FlowKey, FlowView] = {}  # record entry installed
         # aggregate redundant load per transport protocol, for overhead curves
         self.redundant_packets_by_protocol: Counter[Protocol] = Counter()
         self.redundant_bytes_by_protocol: Counter[Protocol] = Counter()
@@ -117,8 +134,6 @@ class MonitoringController:
         window only bump the redundancy counters.  A PacketIn for a flow
         whose entry is already active means events were fed out of order.
         """
-        if event.table_id != MONITORING_TABLE:
-            return None
         pkt = event.packet
         key = pkt.key
         if key in self._active:
@@ -133,7 +148,7 @@ class MonitoringController:
             self.redundant_packets_by_protocol[key.protocol] += 1
             self.redundant_bytes_by_protocol[key.protocol] += pkt.length_bytes
             return None
-        self._pending[key] = _FlowView(pkt.timestamp_ns, pkt.timestamp_ns, 1, pkt.length_bytes)
+        self._pending[key] = FlowView(pkt.timestamp_ns, pkt.timestamp_ns, 1, pkt.length_bytes)
         entry = FlowEntry(
             match=MatchFields.exact(key),
             priority=FLOW_RECORD_PRIORITY,
@@ -166,10 +181,11 @@ class MonitoringController:
         if view is None:
             raise ControllerStateError(f"flow-removed for flow {key} this controller does not own")
         entry = event.entry
-        last_seen = entry.last_match_time_ns if entry.packet_count > 0 else view.last_seen_ns
-        return self._close(
-            key, view, entry.packet_count, entry.byte_count, last_seen, _REASON_MAP[event.reason]
+        record = merge_record(
+            key, view, entry.packet_count, entry.byte_count, entry.last_match_time_ns, event.reason
         )
+        self.records.append(record)
+        return record
 
     def finalize_pending(self) -> list[FlowRecord]:
         """Close flows whose entry never made it in before the trace ended.
@@ -178,33 +194,12 @@ class MonitoringController:
         complete from the controller's view alone.
         """
         out = [
-            self._close(key, view, 0, 0, view.last_seen_ns, ExpiryReason.END_OF_TRACE)
+            merge_record(key, view, 0, 0, view.last_seen_ns, FlowRemovedReason.DELETE)
             for key, view in sorted(self._pending.items())
         ]
         self._pending.clear()
+        self.records.extend(out)
         return out
-
-    def _close(
-        self,
-        key: FlowKey,
-        view: _FlowView,
-        entry_packets: int,
-        entry_bytes: int,
-        last_seen_ns: int,
-        reason: ExpiryReason,
-    ) -> FlowRecord:
-        """Record a flow: the controller's view plus its entry's counters."""
-        record = FlowRecord(
-            key=key,
-            first_seen_ns=view.first_seen_ns,
-            last_seen_ns=last_seen_ns,
-            packet_count=entry_packets + view.packets,
-            byte_count=entry_bytes + view.bytes,
-            controller_packet_count=view.packets,
-            expiry_reason=reason,
-        )
-        self.records.append(record)
-        return record
 
 
 def record_to_dict(record: FlowRecord) -> dict:

@@ -91,3 +91,10 @@ def ascii_number(text: str, symbols: str = "-") -> bool:
     check first; the parser then rejects a symbol out of place.
     """
     return not text.strip("0123456789" + symbols)
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for ASCII digits and '-' only."""
+    if not ascii_number(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)

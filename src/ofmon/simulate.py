@@ -13,8 +13,10 @@ entry is an exact 5-tuple match above every sampling entry, so it only ever
 sees its own flow's packets, and its expiry instant is exact however lazily
 it is evicted.  Each flow's records and redundant PacketIns therefore follow
 from its own packets, whether it is sampled, the controller config and the
-trace's last timestamp.  Identical (trace, config, seed) input replays to
-identical output, always.
+trace's last timestamp.  It closes records with the packet-level path's own
+two rules: `switch.expiry_of` says when an entry goes and why, and
+`controller.merge_record` what its record holds.  Identical (trace, config,
+seed) input replays to identical output, always.
 """
 
 from bisect import bisect_left
@@ -22,17 +24,21 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .controller import ControllerConfig, MonitoringController, ScheduledFlowMod
-from .model import ExpiryReason, FlowKey, FlowRecord, PacketRecord
+from .controller import (
+    ControllerConfig, FlowView, MonitoringController, ScheduledFlowMod, merge_record
+)
+from .model import FlowKey, FlowRecord, PacketRecord
 from .sampling import RuleSet, SamplingConfig, generate_rules, key_sampler, select_bucket
 from .switch import (
     DEFAULT_PRIORITY,
     FLOW_RECORD_PRIORITY,
     FlowEntry,
+    FlowRemovedReason,
     GotoTable,
     MatchFields,
     PacketIn,
     Switch,
+    expiry_of,
 )
 
 
@@ -129,33 +135,15 @@ def replay(
 
 
 @dataclass(slots=True)
-class _Flow:
+class _Flow(FlowView):
     """A sampled flow's open record: what the controller saw of it since
     first_seen_ns, and the record entry it asked for then, live from
     install_ns on."""
 
-    key: FlowKey
-    first_seen_ns: int
-    last_seen_ns: int
-    controller_packets: int
-    controller_bytes: int
     install_ns: int
     last_match_ns: int
-    packets: int
-    bytes: int
-
-
-def _record(flow: _Flow, reason: ExpiryReason) -> FlowRecord:
-    """Merge the controller's view and the entry counters into one record."""
-    return FlowRecord(
-        key=flow.key,
-        first_seen_ns=flow.first_seen_ns,
-        last_seen_ns=flow.last_match_ns if flow.packets else flow.last_seen_ns,
-        packet_count=flow.packets + flow.controller_packets,
-        byte_count=flow.bytes + flow.controller_bytes,
-        controller_packet_count=flow.controller_packets,
-        expiry_reason=reason,
-    )
+    entry_packets: int
+    entry_bytes: int
 
 
 def replay_flows(
@@ -170,9 +158,7 @@ def replay_flows(
     key's first packet and keeping one open record per sampled key.  The
     rules the switch applies:
 
-    - an entry expires at last match + idle, or at install + hard when that
-      is not later (a tie reports hard), and is gone for a packet strictly
-      after that instant;
+    - an entry is gone for a packet strictly after its `expiry_of` instant;
     - an entry still unexpired at the last packet's timestamp ends the trace
       as `eot`;
     - an install is applied when a later packet reaches its instant, so the
@@ -188,14 +174,8 @@ def replay_flows(
     redundant_packets: Counter = Counter()
     redundant_bytes: Counter = Counter()
 
-    def requested(key: FlowKey, ts: int, length: int) -> _Flow:  # on a first PacketIn
-        return _Flow(key, ts, ts, 1, length, ts + delay, ts + delay, 0, 0)
-
-    def expiry(flow: _Flow) -> tuple[int, ExpiryReason]:
-        idle_at = flow.last_match_ns + idle
-        if hard and flow.install_ns + hard <= idle_at:
-            return flow.install_ns + hard, ExpiryReason.HARD_TIMEOUT
-        return idle_at, ExpiryReason.IDLE_TIMEOUT
+    def requested(ts: int, length: int) -> _Flow:  # on a first PacketIn
+        return _Flow(ts, ts, 1, length, ts + delay, ts + delay, 0, 0)
 
     ts = 0  # the switch clock starts at 0 too
     for now, key, length in trace:
@@ -205,35 +185,41 @@ def replay_flows(
         flow = flows.get(key)
         if not flow:
             if flow is None:  # first packet of this key: first PacketIn if sampled
-                flows[key] = is_sampled(key) and requested(key, ts, length)
+                flows[key] = is_sampled(key) and requested(ts, length)
             continue
         if ts < flow.install_ns:  # entry still in flight: a redundant PacketIn
             flow.last_seen_ns = ts
-            flow.controller_packets += 1
-            flow.controller_bytes += length
-            redundant_packets[key.protocol] += 1
-            redundant_bytes[key.protocol] += length
-        elif ts > flow.last_match_ns + idle or (hard and ts > flow.install_ns + hard):
-            instant, reason = expiry(flow)  # evicted before this packet: a new PacketIn
-            records.append(_record(flow, reason))
-            lifetimes.append((flow.install_ns, instant))
-            flows[key] = requested(key, ts, length)
-        else:
             flow.packets += 1
             flow.bytes += length
+            redundant_packets[key.protocol] += 1
+            redundant_bytes[key.protocol] += length
+            continue
+        instant, reason = expiry_of(flow.install_ns, flow.last_match_ns, idle, hard)
+        if ts > instant:  # evicted before this packet: a new PacketIn
+            records.append(merge_record(
+                key, flow, flow.entry_packets, flow.entry_bytes, flow.last_match_ns, reason
+            ))
+            lifetimes.append((flow.install_ns, instant))
+            flows[key] = requested(ts, length)
+        else:
+            flow.entry_packets += 1
+            flow.entry_bytes += length
             flow.last_match_ns = ts
 
     if flows:
         last = flows[key]  # the state the very last packet left
-        for flow in flows.values():
+        for key, flow in flows.items():
             if not flow:
                 continue
-            if flow.install_ns > ts or (flow is last and not flow.packets):
-                records.append(_record(flow, ExpiryReason.END_OF_TRACE))  # never installed
-                continue
-            instant, reason = expiry(flow)
-            records.append(_record(flow, reason if instant < ts else ExpiryReason.END_OF_TRACE))
-            lifetimes.append((flow.install_ns, instant))
+            reason = FlowRemovedReason.DELETE  # drained, or never installed
+            if flow.install_ns <= ts and (flow is not last or flow.entry_packets):  # installed
+                instant, expired = expiry_of(flow.install_ns, flow.last_match_ns, idle, hard)
+                if instant < ts:
+                    reason = expired
+                lifetimes.append((flow.install_ns, instant))
+            records.append(merge_record(
+                key, flow, flow.entry_packets, flow.entry_bytes, flow.last_match_ns, reason
+            ))
 
     # peak occupancy: the most entries live (install <= t <= expiry) at an install t
     ends = sorted(end for _, end in lifetimes)

@@ -1,13 +1,16 @@
 """Simulated OpenFlow switch pipeline.
 
-Table 0 holds the monitoring logic in three priority blocks: per-flow record
+Table 0, the monitoring table, holds three priority blocks: per-flow record
 entries on top, sampling entries in the middle, a catch-all at the bottom.
-Table 1 stands in for the forwarding pipeline and exists so tests can assert
-that monitoring is transparent: every packet is handed over exactly once.
+Table 1, the forwarding table, stands in for the rest of the pipeline and
+only counts what GotoTable hands it, so tests can assert that monitoring is
+transparent: every packet is handed over exactly once.  Both are roles; no
+action or event carries a table id.
 
 Time is virtual.  The clock only moves through process_packet/advance_clock,
 and expired entries are evicted lazily but with their exact expiry instant,
 so results do not depend on how often the clock happens to advance.
+`expiry_of` gives that instant, here and in the per-flow replay.
 """
 
 import bisect
@@ -22,9 +25,6 @@ from .model import FlowKey, PacketRecord, Protocol
 FLOW_RECORD_PRIORITY = 3000  # block 1: per-flow record entries
 SAMPLING_PRIORITY = 2000     # block 2: sampling decision entries
 DEFAULT_PRIORITY = 0         # block 3: catch-all pass-through
-
-MONITORING_TABLE = 0
-FORWARD_TABLE = 1
 
 _FULL_MASK = 0xFFFFFFFF
 
@@ -112,7 +112,7 @@ class MatchFields:
 
 @dataclass(frozen=True, slots=True)
 class GotoTable:
-    table_id: int = FORWARD_TABLE
+    """Hand the packet to the forwarding table; ends table-0 processing."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +165,6 @@ class GroupEntry:
 @dataclass(frozen=True, slots=True)
 class PacketIn:
     packet: PacketRecord
-    table_id: int
 
 
 class FlowRemovedReason(enum.Enum):
@@ -189,16 +188,20 @@ SwitchEvent = PacketIn | FlowRemoved
 # sits outside the wire protocol.  See sampling.select_bucket.
 BucketSelector = Callable[[GroupEntry, FlowKey], int]
 
+# bound once: expiry_of runs per packet, and an enum member lookup is slow
+_IDLE, _HARD = FlowRemovedReason.IDLE, FlowRemovedReason.HARD
 
-def _expiry_of(entry: FlowEntry) -> tuple[int, FlowRemovedReason] | None:
-    """Exact instant the entry stops matching, and why.  None if untimed."""
-    idle = entry.last_match_time_ns + entry.idle_timeout_ns if entry.idle_timeout_ns > 0 else None
-    hard = entry.install_time_ns + entry.hard_timeout_ns if entry.hard_timeout_ns > 0 else None
-    if idle is None and hard is None:
-        return None
-    if hard is not None and (idle is None or hard <= idle):  # tie goes to Hard
-        return hard, FlowRemovedReason.HARD
-    return idle, FlowRemovedReason.IDLE
+
+def expiry_of(
+    install_ns: int, last_match_ns: int, idle_timeout_ns: int, hard_timeout_ns: int
+) -> tuple[int, FlowRemovedReason] | None:
+    """Last instant an entry matches, and why it goes: last match + idle, or
+    install + hard when that is not later (a tie reports Hard).  A timeout of
+    0 is off; None if both are."""
+    hard = install_ns + hard_timeout_ns
+    if hard_timeout_ns > 0 and (idle_timeout_ns <= 0 or hard <= last_match_ns + idle_timeout_ns):
+        return hard, _HARD
+    return (last_match_ns + idle_timeout_ns, _IDLE) if idle_timeout_ns > 0 else None
 
 
 def _rank(entry: FlowEntry) -> tuple[int, int, int]:
@@ -264,7 +267,9 @@ class Switch:
         key = live.match.exact_key()
         index = self._wildcard if key is None else self._exact.setdefault(key, [])
         bisect.insort(index, (_rank(live), live))
-        expiry = _expiry_of(live)
+        expiry = expiry_of(
+            install_time_ns, install_time_ns, live.idle_timeout_ns, live.hard_timeout_ns
+        )
         if expiry is not None:
             heapq.heappush(self._expiry_heap, (expiry[0], eid))
         return eid
@@ -284,8 +289,7 @@ class Switch:
     def advance_clock(self, now_ns: int) -> list[FlowRemoved]:
         """Move virtual time forward, evicting entries that expired before now.
 
-        Eviction uses the exact expiry instant (last match + idle, or install
-        + hard, whichever comes first; ties report Hard), not `now_ns`.
+        Eviction uses the exact expiry instant from `expiry_of`, not `now_ns`.
         Entries without send_flow_removed leave silently.
         """
         if now_ns < self._clock_ns:
@@ -351,7 +355,7 @@ class Switch:
                 forwarded += 1
                 break  # goto ends table-0 processing
             if cls is OutputToController:
-                events.append(PacketIn(packet=pkt, table_id=MONITORING_TABLE))
+                events.append(PacketIn(pkt))
             elif cls is Group:
                 forwarded += self._run_group(act.group_id, pkt, events)
             # Drop: nothing to do
@@ -377,7 +381,7 @@ class Switch:
         for act in bucket.actions:
             cls = type(act)
             if cls is OutputToController:
-                events.append(PacketIn(packet=pkt, table_id=MONITORING_TABLE))
+                events.append(PacketIn(pkt))
             elif cls is GotoTable:
                 self.table1_packet_count += 1
                 self.table1_byte_count += pkt.length_bytes
@@ -419,16 +423,16 @@ class Switch:
         dead: list[tuple[int, int, FlowEntry, FlowRemovedReason]] = []
         while heap and heap[0][0] < now_ns:
             _, eid = heapq.heappop(heap)
-            entry = self._entries.get(eid)
-            if entry is None:
+            e = self._entries.get(eid)
+            if e is None:
                 continue  # removed or replaced since scheduling
-            expiry = _expiry_of(entry)
-            if expiry is None:
-                continue
-            instant, reason = expiry
+            # only timed entries are scheduled
+            instant, reason = expiry_of(
+                e.install_time_ns, e.last_match_time_ns, e.idle_timeout_ns, e.hard_timeout_ns
+            )
             if instant < now_ns:
                 self._remove_entry(eid)
-                dead.append((instant, eid, entry, reason))
+                dead.append((instant, eid, e, reason))
             else:
                 heapq.heappush(heap, (instant, eid))  # matched since; rescheduled
         dead.sort(key=lambda item: (item[0], item[1]))

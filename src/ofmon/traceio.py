@@ -186,6 +186,12 @@ class ExponentialGap:
     def __post_init__(self):
         if self.mean_ns <= 0:
             raise ValueError("mean gap must be positive")
+        try:  # the largest draw, at 1 - random() = 2**-53, as _gap_drawer computes it
+            finite = math.isfinite(-math.log(2.0 ** -53) / (1.0 / float(self.mean_ns)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("mean gap too large: its longest draw is beyond a float")
 
 
 @dataclass(frozen=True)

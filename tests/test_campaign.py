@@ -156,6 +156,9 @@ class TestLoadCampaign:
             ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "exponential",
                                                           "mean_ms": float("inf")}}}}, ()),
             ({"install_delay_ms": 1e308}, ()),
+            # a mean gap whose largest draw overflows a float
+            ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "exponential",
+                                                          "mean_ms": 1e302}}}}, ()),
             ({"trace": {"csv": ""}}, ()),  # the config's own directory
             # sizes whose draw would divide by zero
             ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "geometric", "p": 1e-17}}}},
@@ -184,6 +187,17 @@ class TestLoadCampaign:
     ])
     def test_a_rate_takes_ascii_digits_only_and_its_error_names_its_path(
             self, tmp_path, overrides, where):
+        with pytest.raises(ConfigError, match=where):
+            load_campaign(write_config(tmp_path, overrides))
+
+    @pytest.mark.parametrize("overrides,where", [
+        ({"sampling": [{"method": "hash"}, {"method": "hash", "mode": "source"}]}, "sampling/1"),
+        ({"sampling": [{"method": "port"}, {"method": "hash"}, {"method": "port"}]},
+         "sampling/2"),
+        ({"rates": ["1/4", "0.25"]}, "rates/1"),
+        ({"rates": ["1/8", "1/4", "2.5e-1"]}, "rates/2"),
+    ])
+    def test_a_repeated_cell_coordinate_names_its_path(self, tmp_path, overrides, where):
         with pytest.raises(ConfigError, match=where):
             load_campaign(write_config(tmp_path, overrides))
 

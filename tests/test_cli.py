@@ -93,6 +93,13 @@ class TestGen:
         assert main(["gen", "--flows", "3", "--sizes", sizes, "-o", str(tmp_path / "x.csv")]) == 2
         assert "--sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mean", ["9" * 400, "1" + "0" * 309, "5" + "0" * 306],
+                             ids=["400-nines", "1e309", "5e306"])
+    def test_gaps_whose_draw_overflows_a_float_are_exit_2(self, tmp_path, capsys, mean):
+        assert main(["gen", "--flows", "3", "--gaps", "exp:" + mean,
+                     "-o", str(tmp_path / "x.csv")]) == 2
+        assert "--gaps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [
         ("--flows", "\uff13"), ("--flows", "1_0"), ("--seed", "\u0663"), ("--seed", "+3"),
         ("--tcp-fraction", "\u0660.5"), ("--tcp-fraction", " 0.5"), ("--tcp-fraction", "nan"),

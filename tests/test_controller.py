@@ -62,7 +62,7 @@ class TestPacketInHandling:
     def test_first_packet_schedules_an_install(self):
         ctl = MonitoringController(cc(delay=3 * MS, idle=10 * MS, hard=40 * MS))
         p = pkt(ts=7 * MS)
-        mod = ctl.on_packet_in(PacketIn(packet=p, table_id=0))
+        mod = ctl.on_packet_in(PacketIn(p))
         assert mod.execute_at_ns == 10 * MS
         assert mod.key == flow_key_of(p)
         e = mod.entry
@@ -75,26 +75,19 @@ class TestPacketInHandling:
     def test_repeat_packets_before_install_are_redundant(self):
         ctl = MonitoringController(cc(delay=10 * MS))
         first = pkt(ts=0, length=100)
-        assert ctl.on_packet_in(PacketIn(packet=first, table_id=0)) is not None
+        assert ctl.on_packet_in(PacketIn(first)) is not None
         for ts in (1, 2, 3):
-            assert ctl.on_packet_in(PacketIn(packet=pkt(ts=ts * MS, length=50),
-                                             table_id=0)) is None
+            assert ctl.on_packet_in(PacketIn(pkt(ts=ts * MS, length=50))) is None
         assert ctl.redundant_packets_by_protocol[Protocol.TCP] == 3
         assert ctl.redundant_bytes_by_protocol[Protocol.TCP] == 150
-
-    def test_packet_in_from_other_tables_is_ignored(self):
-        ctl = MonitoringController(cc())
-        assert ctl.on_packet_in(PacketIn(packet=pkt(), table_id=1)) is None
-        # key is still unknown, so table-0 treats it as brand new
-        assert ctl.on_packet_in(PacketIn(packet=pkt(), table_id=0)) is not None
 
     def test_packet_in_for_installed_flow_is_a_state_error(self):
         ctl = MonitoringController(cc())
         p = pkt()
-        mod = ctl.on_packet_in(PacketIn(packet=p, table_id=0))
+        mod = ctl.on_packet_in(PacketIn(p))
         ctl.on_flow_mod_installed(mod.key)
         with pytest.raises(ControllerStateError):
-            ctl.on_packet_in(PacketIn(packet=pkt(ts=1), table_id=0))
+            ctl.on_packet_in(PacketIn(pkt(ts=1)))
 
     def test_flow_removed_for_unknown_key_is_a_state_error(self):
         ctl = MonitoringController(cc())
@@ -106,10 +99,18 @@ class TestPacketInHandling:
 
 
 class TestRecordAccounting:
-    def test_ten_packet_flow_with_install_window(self):
+    """Hand-computed records, from the packet-level and the per-flow replay."""
+
+    @pytest.fixture(params=[
+        replay, lambda trace, cfg, controller: replay_flows(trace, generate_rules(cfg), controller)
+    ], ids=["packets", "flows"])
+    def run(self, request):
+        return request.param
+
+    def test_ten_packet_flow_with_install_window(self, run):
         # 10 packets, 1 ms apart; install 2.5 ms after the first
         trace = [pkt(ts=i * MS, length=100) for i in range(10)]
-        result = replay(trace, RATE_ONE, cc(delay=2_500_000))
+        result = run(trace, RATE_ONE, cc(delay=2_500_000))
         (rec,) = result.records
         assert rec.packet_count == 10
         assert rec.byte_count == 1000
@@ -118,18 +119,18 @@ class TestRecordAccounting:
         assert rec.last_seen_ns == 9 * MS
         assert result.redundant_packets_by_protocol[Protocol.TCP] == 2
 
-    def test_packet_at_exact_install_instant_is_not_redundant(self):
+    def test_packet_at_exact_install_instant_is_not_redundant(self, run):
         trace = [pkt(ts=0), pkt(ts=1 * MS)]
-        result = replay(trace, RATE_ONE, cc(delay=1 * MS))
+        result = run(trace, RATE_ONE, cc(delay=1 * MS))
         (rec,) = result.records
         assert rec.packet_count == 2
         assert rec.controller_packet_count == 1
         assert result.redundant_packets_by_protocol[Protocol.TCP] == 0
 
-    def test_single_packet_flow_expires_idle(self):
+    def test_single_packet_flow_expires_idle(self, run):
         p = pkt(proto=Protocol.UDP, length=77)
         closer = pkt(ts=40 * MS, sport=9)  # outlives the idle window
-        result = replay([p, closer], RATE_ONE, cc(delay=0, idle=10 * MS))
+        result = run([p, closer], RATE_ONE, cc(delay=0, idle=10 * MS))
         rec = next(r for r in result.records if r.key == flow_key_of(p))
         assert rec.packet_count == 1
         assert rec.byte_count == 77
@@ -137,10 +138,10 @@ class TestRecordAccounting:
         assert rec.first_seen_ns == rec.last_seen_ns == 0
         assert rec.expiry_reason is ExpiryReason.IDLE_TIMEOUT
 
-    def test_hard_timeout_splits_a_long_flow(self):
+    def test_hard_timeout_splits_a_long_flow(self, run):
         s = 1_000 * MS
         trace = [pkt(ts=i * 10 * s) for i in range(8)]  # 0..70 s, one packet per 10 s
-        result = replay(trace, RATE_ONE, cc(delay=0, idle=15 * s, hard=30 * s))
+        result = run(trace, RATE_ONE, cc(delay=0, idle=15 * s, hard=30 * s))
         recs = sorted(result.records, key=lambda r: r.first_seen_ns)
         assert len(recs) == 2
         assert recs[0].expiry_reason is ExpiryReason.HARD_TIMEOUT
@@ -151,10 +152,10 @@ class TestRecordAccounting:
         assert recs[1].packet_count == 4
         assert recs[0].last_seen_ns < recs[1].first_seen_ns
 
-    def test_never_installed_flow_still_gets_a_record(self):
+    def test_never_installed_flow_still_gets_a_record(self, run):
         # trace ends before the install delay elapses
         trace = [pkt(ts=0, length=10), pkt(ts=1 * MS, length=20)]
-        result = replay(trace, RATE_ONE, cc(delay=500 * MS))
+        result = run(trace, RATE_ONE, cc(delay=500 * MS))
         (rec,) = result.records
         assert rec.expiry_reason is ExpiryReason.END_OF_TRACE
         assert rec.packet_count == 2
@@ -162,15 +163,15 @@ class TestRecordAccounting:
         assert rec.controller_packet_count == 2
         assert rec.last_seen_ns == 1 * MS
 
-    def test_zero_delay_means_zero_redundancy(self):
+    def test_zero_delay_means_zero_redundancy(self, run):
         trace = random_trace(150, seed=4, packets_per_flow=3)
-        result = replay(trace, RATE_ONE, cc(delay=0))
+        result = run(trace, RATE_ONE, cc(delay=0))
         assert not result.redundant_packets_by_protocol
         assert all(r.controller_packet_count == 1 for r in result.records)
 
-    def test_per_flow_totals_match_the_trace(self):
+    def test_per_flow_totals_match_the_trace(self, run):
         trace = random_trace(120, seed=8, packets_per_flow=5, gap_ns=2 * MS)
-        result = replay(trace, RATE_ONE, cc(delay=3 * MS))
+        result = run(trace, RATE_ONE, cc(delay=3 * MS))
         by_key = {}
         for r in result.records:
             by_key[r.key] = by_key.get(r.key, 0) + r.packet_count
@@ -179,9 +180,6 @@ class TestRecordAccounting:
             expect[flow_key_of(p)] = expect.get(flow_key_of(p), 0) + 1
         assert by_key == expect
 
-    @pytest.mark.parametrize("run", [
-        replay, lambda trace, cfg, controller: replay_flows(trace, generate_rules(cfg), controller)
-    ], ids=["packets", "flows"])
     def test_peak_occupancy_counts_live_entries_only(self, run):
         # A's entry expires at 3 ms, before B's is installed at 5 ms
         trace = [pkt(ts=0), pkt(ts=2 * MS), pkt(ts=3 * MS, sport=2), pkt(ts=10 * MS, sport=3)]
@@ -203,8 +201,8 @@ class TestFinalizePending:
     def test_records_synthesized_from_controller_state(self):
         ctl = MonitoringController(cc(delay=100 * MS))
         first = pkt(ts=0, length=60)
-        ctl.on_packet_in(PacketIn(packet=first, table_id=0))
-        ctl.on_packet_in(PacketIn(packet=pkt(ts=5 * MS, length=40), table_id=0))
+        ctl.on_packet_in(PacketIn(first))
+        ctl.on_packet_in(PacketIn(pkt(ts=5 * MS, length=40)))
         records = ctl.finalize_pending()
         (rec,) = records
         assert rec.expiry_reason is ExpiryReason.END_OF_TRACE
@@ -215,7 +213,7 @@ class TestFinalizePending:
 
     def test_finalize_twice_is_empty(self):
         ctl = MonitoringController(cc(delay=100 * MS))
-        ctl.on_packet_in(PacketIn(packet=pkt(), table_id=0))
+        ctl.on_packet_in(PacketIn(pkt()))
         assert len(ctl.finalize_pending()) == 1
         assert ctl.finalize_pending() == []
 

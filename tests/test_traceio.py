@@ -1,6 +1,8 @@
 """Trace file round trips, input validation, synthetic generation, key scrambling."""
 
 import gzip
+import math
+import random
 import statistics
 from collections import Counter
 
@@ -20,6 +22,7 @@ from ofmon.traceio import (
     TraceFormatError,
     UniformRandom,
     ZipfSkewed,
+    _gap_drawer,
     _size_drawer,
     generate_trace,
     randomize_trace,
@@ -31,6 +34,13 @@ from helpers import random_trace
 
 HEADER = ",".join(CSV_HEADER)
 ROW = "0,1.2.3.4,5.6.7.8,10,20,TCP,64"
+
+
+class Top(random.Random):
+    """random()'s largest value, so each drawer draws its largest size or gap."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
 
 
 def write_lines(path, *rows):
@@ -282,6 +292,9 @@ class TestSyntheticGeneration:
             lambda: ParetoDiscrete(1e-300),
             lambda: ParetoDiscrete(0.05),
             lambda: ParetoDiscrete(1.5, min_size=10**400),
+            lambda: ExponentialGap(10**400 - 1),  # beyond float()
+            lambda: ExponentialGap(10**309),
+            lambda: ExponentialGap(int(1e308)),  # a float, but its largest draw is not
         ],
     )
     def test_invalid_parameters(self, bad):
@@ -292,11 +305,22 @@ class TestSyntheticGeneration:
         "dist", [Geometric(2.0 ** -53), ParetoDiscrete(0.0518), ParetoDiscrete(1.5, 10**290)]
     )
     def test_largest_draw_of_an_accepted_distribution_is_a_size(self, dist):
-        class Top:  # random()'s largest value gives each drawer's largest size
-            def random(self):
-                return 1.0 - 2.0 ** -53
-
         assert _size_drawer(dist)(Top()) >= 1
+
+    def test_largest_mean_gap_is_the_largest_that_draws(self):
+        def draws(mean_ns):  # the drawer's largest gap is a float
+            try:
+                return math.isfinite(Top().expovariate(1.0 / float(mean_ns)))
+            except OverflowError:
+                return False
+
+        low, high = 1, 10**309  # low draws, high does not
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if draws(mid) else (low, mid)
+        assert _gap_drawer(ExponentialGap(low))(Top()) >= 1
+        with pytest.raises(ValueError):
+            ExponentialGap(high)
 
 
 class TestRandomizeTrace:
