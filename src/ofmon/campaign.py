@@ -354,7 +354,13 @@ def load_campaign(path: str) -> CampaignConfig:
         for item in raw["sampling"]
     )
     rates = tuple(parse_at(f"rates/{i}", parse_rate, r) for i, r in enumerate(raw["rates"]))
-    for name, values in (("sampling", sampling), ("rates", rates)):
+    overhead = raw.get("overhead", {})
+    delays = tuple(_ms_to_ns(d) for d in overhead.get("delays_ms", DEFAULT_OVERHEAD_DELAYS_MS))
+    for name, values in (
+        ("sampling", sampling),
+        ("rates", rates),
+        ("overhead/delays_ms", delays),
+    ):
         for i, value in enumerate(values):
             first = values.index(value)
             if first < i:
@@ -368,7 +374,6 @@ def load_campaign(path: str) -> CampaignConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    overhead = raw.get("overhead", {})
     overhead_rate = parse_at("overhead/rate", parse_rate, overhead.get("rate", "1"))
     if "overhead" in raw["experiments"] and overhead_rate != 1 and len(sampling) > 1:
         raise ConfigError(
@@ -395,9 +400,7 @@ def load_campaign(path: str) -> CampaignConfig:
         trials=raw["trials"],
         experiments=tuple(raw["experiments"]),
         controller=controller,
-        overhead_delays_ns=tuple(
-            _ms_to_ns(d) for d in overhead.get("delays_ms", DEFAULT_OVERHEAD_DELAYS_MS)
-        ),
+        overhead_delays_ns=delays,
         overhead_rate=overhead_rate,
         export_rate=parse_at("export/rate", parse_rate, export.get("rate", raw["rates"][0])),
         export_format=export.get("format", "jsonl"),

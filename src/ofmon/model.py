@@ -1,7 +1,6 @@
 """Packet, flow-key and flow-record primitives shared by every other module."""
 
 import enum
-import ipaddress
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -73,14 +72,29 @@ class FlowRecord:
     expiry_reason: ExpiryReason
 
 
+# Octet spellings: "0".."255" and nothing else.  ipaddress accepts exactly
+# these (ASCII digits, no leading zero, at most 255), so a dict lookup both
+# parses an octet and rejects every other spelling.
+_OCTET_VALUE = {str(i): i for i in range(256)}
+_OCTET_TEXT = tuple(_OCTET_VALUE)
+
+
 def format_ip(addr: int) -> str:
     """32-bit integer address to dotted quad."""
-    return str(ipaddress.IPv4Address(addr))
+    if not 0 <= addr <= 0xFFFFFFFF:
+        raise ValueError(f"{addr} is not a 32-bit address")
+    t = _OCTET_TEXT
+    return f"{t[addr >> 24]}.{t[addr >> 16 & 255]}.{t[addr >> 8 & 255]}.{t[addr & 255]}"
 
 
 def parse_ip(text: str) -> int:
     """Dotted quad to 32-bit integer; raises ValueError on anything else."""
-    return int(ipaddress.IPv4Address(text))
+    value = _OCTET_VALUE
+    try:
+        a, b, c, d = text.split(".")
+        return value[a] << 24 | value[b] << 16 | value[c] << 8 | value[d]
+    except (ValueError, KeyError):
+        raise ValueError(f"{text!r} is not a dotted-quad IPv4 address") from None
 
 
 def ascii_number(text: str, symbols: str = "-") -> bool:

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 from .model import FlowKey, PacketRecord, Protocol, ascii_number, format_ip, parse_ip
 
 CSV_HEADER = ["ts_ns", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "len"]
+_PROTOCOLS = {p.name: p for p in Protocol}
 
 _IP_UNIVERSE = 1 << 16  # distinct addresses available to the skewed drawer
 _KNUTH_MIX = 2654435761  # odd, so multiplication is a bijection mod 2^32
@@ -65,15 +66,21 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                     )
                 try:
                     ts = int(row[0])
-                    src_ip = parse_ip(row[1])
-                    dst_ip = parse_ip(row[2])
                     src_port = int(row[3])
                     dst_port = int(row[4])
                     length = int(row[6])
                 except ValueError as exc:
                     raise TraceFormatError(f"line {lineno}: {exc}") from exc
-                proto_token = row[5].strip().upper()
-                if proto_token not in ("TCP", "UDP"):
+                try:
+                    src_ip = parse_ip(row[1])
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {lineno}: src_ip {exc}") from exc
+                try:
+                    dst_ip = parse_ip(row[2])
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {lineno}: dst_ip {exc}") from exc
+                protocol = _PROTOCOLS.get(row[5]) or _PROTOCOLS.get(row[5].strip().upper())
+                if protocol is None:
                     raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
                 if ts < 0:
                     raise TraceFormatError(f"line {lineno}: negative timestamp {ts}")
@@ -86,7 +93,7 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                 if length < 1:
                     raise TraceFormatError(f"line {lineno}: packet length must be >= 1")
                 prev_ts = ts
-                key = FlowKey(src_ip, dst_ip, src_port, dst_port, Protocol[proto_token])
+                key = FlowKey(src_ip, dst_ip, src_port, dst_port, protocol)
                 yield PacketRecord(ts, key, length)
     except (OSError, EOFError, zlib.error, csv.Error) as exc:
         raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc

@@ -196,6 +196,11 @@ class TestLoadCampaign:
          "sampling/2"),
         ({"rates": ["1/4", "0.25"]}, "rates/1"),
         ({"rates": ["1/8", "1/4", "2.5e-1"]}, "rates/2"),
+        # 1e-7 ms rounds to 0 ns
+        ({"overhead": {"delays_ms": [5, 5.0, 0.0000001]}},
+         "at overhead/delays_ms/1: same as overhead/delays_ms/0$"),
+        ({"overhead": {"delays_ms": [0, 5, 0.0000001]}},
+         "at overhead/delays_ms/2: same as overhead/delays_ms/0$"),
     ])
     def test_a_repeated_cell_coordinate_names_its_path(self, tmp_path, overrides, where):
         with pytest.raises(ConfigError, match=where):

@@ -193,6 +193,20 @@ class TestSimulate:
         assert main(["simulate", "--trace", str(bad), "--method", "hash",
                      "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 2
 
+    @pytest.mark.parametrize("field", ["src_ip", "dst_ip"])
+    @pytest.mark.parametrize("bad", [
+        "010.0.0.1", "\uff11.2.3.4", "1.2.3.4/32", " 1.2.3.4", "1.2.3.256",
+    ])
+    def test_bad_address_is_exit_2_and_names_its_field(self, tmp_path, capsys, field, bad):
+        fields = ["0", "1.2.3.4", "5.6.7.8", "1", "2", "TCP", "64"]
+        fields[1 if field == "src_ip" else 2] = bad
+        trace = tmp_path / "bad.csv"
+        trace.write_bytes(("ts_ns,src_ip,dst_ip,src_port,dst_port,proto,len\n"
+                           + ",".join(fields) + "\n").encode())
+        assert main(["simulate", "--trace", str(trace), "--method", "hash",
+                     "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert f"line 2: {field} " in capsys.readouterr().err
+
 
 class TestCampaignCommand:
     def test_runs_and_writes(self, tmp_path, capsys):
@@ -249,6 +263,21 @@ class TestCampaignCommand:
         monkeypatch.setenv("OFMON_WORKERS", "\u0661")
         assert main(["campaign", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "OFMON_WORKERS" in capsys.readouterr().err
+
+    def test_repeated_overhead_delay_is_exit_2_and_named(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "seed": 3,
+            "trace": {"synthetic": {"flows": 10, "seed": 2}},
+            "sampling": [{"method": "hash"}],
+            "rates": ["1"],
+            "trials": 1,
+            "experiments": ["overhead"],
+            "overhead": {"delays_ms": [5, 5.0, 0.0000001]},
+        }))
+        assert main(["campaign", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "overhead/delays_ms/1: same as overhead/delays_ms/0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["campaign", str(tmp_path / "ghost.json"),

@@ -1,6 +1,9 @@
 import dataclasses
+import ipaddress
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofmon.model import (
     ExpiryReason,
@@ -56,6 +59,57 @@ def test_ip_round_trip(quad):
 def test_parse_ip_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_ip(bad)
+
+
+# ipaddress is the reference the table-driven parser must match: the same
+# strings accepted with the same value, every other string a ValueError.
+NON_ASCII_DIGITS = ["\uff11", "\u0661", "\u06f5", "\u09e7", "\u00b2", "\U0001d7ce"]
+address_chars = st.sampled_from([*"0123456789./ +-_", *NON_ASCII_DIGITS])
+
+
+@st.composite
+def dotted_quads(draw):
+    """Three to five dot-separated parts: plain octets, values past 255,
+    leading zeros, empty parts or a non-ASCII digit."""
+    part = st.one_of(
+        st.integers(0, 255).map(str),
+        st.integers(0, 999).map(str),
+        st.tuples(st.integers(1, 3), st.integers(0, 255)).map(lambda z: "0" * z[0] + str(z[1])),
+        st.just(""),
+        st.sampled_from(NON_ASCII_DIGITS),
+    )
+    return ".".join(draw(st.lists(part, min_size=3, max_size=5)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(st.text(address_chars, max_size=20), dotted_quads()))
+@example("010.0.0.1")
+@example("1.2.3.4/32")
+@example(" 1.2.3.4")
+@example("1.2.3.256")
+@example("\uff11.2.3.4")
+def test_parse_ip_agrees_with_ipaddress(text):
+    try:
+        expected = int(ipaddress.IPv4Address(text))
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_ip(text)
+    else:
+        assert parse_ip(text) == expected
+
+
+@settings(max_examples=1000, deadline=None)
+@given(addr=st.integers(0, 2**32 - 1))
+@example(0)
+@example(2**32 - 1)
+def test_format_ip_agrees_with_ipaddress(addr):
+    assert format_ip(addr) == str(ipaddress.IPv4Address(addr))
+
+
+@pytest.mark.parametrize("addr", [-1, 2**32])
+def test_format_ip_rejects_values_outside_32_bits(addr):
+    with pytest.raises(ValueError):
+        format_ip(addr)
 
 
 def test_flow_record_is_immutable():

@@ -1,16 +1,17 @@
 """Trace file round trips, input validation, synthetic generation, key scrambling."""
 
 import gzip
+import itertools
 import math
 import random
 import statistics
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofmon.model import PacketRecord, Protocol, flow_key_of
+from ofmon.model import FlowKey, PacketRecord, Protocol, flow_key_of
 from ofmon.traceio import (
     CSV_HEADER,
     ExponentialGap,
@@ -76,6 +77,28 @@ class TestCsvRoundTrip:
         assert len(list(read_csv_trace(path))) == 2
 
 
+addresses = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+# a packet as (gap to the previous packet, key, length)
+packet_rows = st.tuples(
+    st.integers(0, 10**12),
+    st.builds(FlowKey, addresses, addresses, st.integers(0, 65535), st.integers(0, 65535),
+              st.sampled_from(Protocol)),
+    st.integers(1, 65535),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(packet_rows, max_size=20), name=st.sampled_from(["t.csv", "t.csv.gz"]))
+@example(rows=[(0, FlowKey(0, 2**32 - 1, 0, 65535, Protocol.UDP), 1)], name="t.csv")
+@example(rows=[(0, FlowKey(2**32 - 1, 0, 65535, 0, Protocol.TCP), 1)], name="t.csv.gz")
+def test_write_then_read_gives_back_the_packets(tmp_path_factory, rows, name):
+    times = itertools.accumulate(gap for gap, _, _ in rows)
+    trace = [PacketRecord(ts, key, length) for ts, (_, key, length) in zip(times, rows)]
+    path = str(tmp_path_factory.getbasetemp() / name)
+    assert write_csv_trace(trace, path) == len(trace)
+    assert list(read_csv_trace(path)) == trace
+
+
 class TestCsvValidation:
     def read_all(self, path):
         return list(read_csv_trace(path))
@@ -96,6 +119,18 @@ class TestCsvValidation:
                            "1,999.2.3.4,5.6.7.8,10,20,TCP,64")
         with pytest.raises(TraceFormatError, match="line 3"):
             self.read_all(path)
+
+    @pytest.mark.parametrize("field", ["src_ip", "dst_ip"])
+    @pytest.mark.parametrize("bad", [
+        "010.0.0.1", "\uff11.2.3.4", "1.2.3.4/32", " 1.2.3.4", "1.2.3.256",
+    ])
+    def test_bad_address_names_its_field(self, tmp_path, field, bad):
+        fields = ROW.split(",")
+        fields[CSV_HEADER.index(field)] = bad
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{HEADER}\n{ROW}\n{','.join(fields)}\n".encode())
+        with pytest.raises(TraceFormatError, match=f"^line 3: {field} "):
+            self.read_all(str(path))
 
     def test_unsupported_protocol(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", HEADER, "0,1.2.3.4,5.6.7.8,0,0,ICMP,64")
