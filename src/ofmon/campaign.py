@@ -12,11 +12,10 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-
-import jsonschema
 
 from .controller import ControllerConfig, export_records
 from .evaluation import (
@@ -57,180 +56,6 @@ def parse_at(where: str, parse, text: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_DIST_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "geometric"}, "p": {"type": "number"}},
-            "required": ["kind", "p"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "pareto"},
-                "alpha": {"type": "number"},
-                "min_size": {"type": "integer"},
-            },
-            "required": ["kind", "alpha"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "fixed"}, "packets": {"type": "integer"}},
-            "required": ["kind", "packets"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_KEYMODE_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "uniform"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "zipf"}, "skew": {"type": "number"}},
-            "required": ["kind", "skew"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_GAP_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "exponential"}, "mean_ms": {"type": "number"}},
-            "required": ["kind", "mean_ms"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "fixed"}, "gap_ms": {"type": "number"}},
-            "required": ["kind", "gap_ms"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_SYNTHETIC_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "flows": {"type": "integer", "minimum": 1},
-        "sizes": _DIST_SCHEMA,
-        "ips": _KEYMODE_SCHEMA,
-        "ports": _KEYMODE_SCHEMA,
-        "tcp_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-        "gaps": _GAP_SCHEMA,
-        "duration_ms": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
-    },
-    "required": ["flows"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer"},
-        "trace": {
-            "type": "object",
-            "properties": {"csv": {"type": "string"}, "synthetic": _SYNTHETIC_SCHEMA},
-            "minProperties": 1,
-            "maxProperties": 1,
-            "additionalProperties": False,
-        },
-        "randomize_keys_seed": {"type": "integer"},
-        "sampling": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "method": {"enum": ["ip-suffix", "port", "hash"]},
-                    "mode": {"enum": ["source", "pair"]},
-                },
-                "required": ["method"],
-                "additionalProperties": False,
-            },
-        },
-        "rates": {"type": "array", "minItems": 1, "items": {"type": "string"}},
-        "trials": {"type": "integer", "minimum": 1},
-        "experiments": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"enum": ["rate", "wmrd", "overhead", "export"]},
-            "uniqueItems": True,
-        },
-        "timeouts": {
-            "type": "object",
-            "properties": {
-                "idle_ms": {"type": "number", "exclusiveMinimum": 0},
-                "hard_ms": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "install_delay_ms": {"type": "number", "minimum": 0},
-        "overhead": {
-            "type": "object",
-            "properties": {
-                "delays_ms": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number", "minimum": 0},
-                },
-                "rate": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-        "export": {
-            "type": "object",
-            "properties": {
-                "rate": {"type": "string"},
-                "format": {"enum": ["jsonl", "csv"]},
-            },
-            "additionalProperties": False,
-        },
-        "output_dir": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
-    },
-    "required": ["seed", "trace", "sampling", "rates", "trials", "experiments"],
-    "additionalProperties": False,
-}
-
-
-def _is_integer(checker, instance) -> bool:
-    return isinstance(instance, int) and not isinstance(instance, bool)
-
-
-def _is_finite_number(checker, instance) -> bool:
-    return _is_integer(checker, instance) or (
-        isinstance(instance, float) and math.isfinite(instance)
-    )
-
-
-# JSON Schema's "integer" admits 2.0 and its "number" admits Infinity and NaN;
-# every integer here is used as an int and every number must convert to one
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
-        {"integer": _is_integer, "number": _is_finite_number}
-    ),
-)(CONFIG_SCHEMA)
-
-
-def _ms_to_ns(ms: float) -> int:
-    try:
-        return int(round(ms * 1_000_000))
-    except OverflowError as exc:
-        raise ConfigError(f"campaign config invalid: {ms} ms is out of range") from exc
-
-
 # Fraction builds 10**n for n decimals or an exponent of n, so an unbounded n
 # hangs.  This bounds both; a rate near it is already too long to print.
 _RATE_MAX_DIGITS = 10_000
@@ -262,33 +87,139 @@ def parse_rate(text: str) -> Fraction:
     return rate
 
 
-def _parse_synthetic(spec: dict) -> SyntheticSpec:
-    sizes = spec.get("sizes", {"kind": "geometric", "p": 0.5})
-    if sizes["kind"] == "geometric":
-        size_dist = Geometric(sizes["p"])
-    elif sizes["kind"] == "pareto":
-        size_dist = ParetoDiscrete(sizes["alpha"], sizes.get("min_size", 1))
-    else:
-        size_dist = Fixed(sizes["packets"])
+# -- the campaign file's format: each value is checked as it is read ------------
 
-    def key_mode(cfg: dict):
-        return UniformRandom() if cfg["kind"] == "uniform" else ZipfSkewed(cfg["skew"])
+_EXPERIMENTS = ("rate", "wmrd", "overhead", "export")
 
-    gaps = spec.get("gaps", {"kind": "exponential", "mean_ms": 50})
-    if gaps["kind"] == "exponential":
-        gap = ExponentialGap(_ms_to_ns(gaps["mean_ms"]))
-    else:
-        gap = FixedGap(_ms_to_ns(gaps["gap_ms"]))
-    return SyntheticSpec(
-        flow_count=spec["flows"],
-        size_distribution=size_dist,
-        ip_mode=key_mode(spec.get("ips", {"kind": "uniform"})),
-        port_mode=key_mode(spec.get("ports", {"kind": "uniform"})),
-        tcp_fraction=spec.get("tcp_fraction", 0.8),
-        gap=gap,
-        duration_ns=_ms_to_ns(spec.get("duration_ms", 1000)),
-        seed=spec.get("seed", 0),
-    )
+
+def _invalid(where: str, problem: str) -> ConfigError:
+    return ConfigError(f"campaign config invalid at {where or '<root>'}: {problem}")
+
+
+def _number(value, where: str, minimum=None, maximum=None, above=None):
+    """A finite int or float within the bounds; `above` is an exclusive minimum."""
+    # the type first: math.isfinite(10**400) overflows, and a bool is no number
+    if not (type(value) is int or type(value) is float and math.isfinite(value)):
+        raise _invalid(where, f"{value!r} is not a finite number")
+    if minimum is not None and value < minimum:
+        raise _invalid(where, f"{value} is less than {minimum}")
+    if above is not None and value <= above:
+        raise _invalid(where, f"{value} is not greater than {above}")
+    if maximum is not None and value > maximum:
+        raise _invalid(where, f"{value} is greater than {maximum}")
+    return value
+
+
+def _integer(value, where: str, minimum=None) -> int:
+    if type(value) is not int:  # neither true nor 2.0
+        raise _invalid(where, f"{value!r} is not an integer")
+    return _number(value, where, minimum)
+
+
+def _ms_to_ns(value, where: str, **bounds) -> int:
+    ms = _number(value, where, **bounds)
+    try:
+        return int(round(ms * 1_000_000))
+    except OverflowError as exc:
+        raise _invalid(where, f"{ms} ms is out of range") from exc
+
+
+def _string(value, where: str) -> str:
+    if type(value) is not str:
+        raise _invalid(where, f"{value!r} is not a string")
+    return value
+
+
+def _choice(value, where: str, options) -> str:
+    if type(value) is not str or value not in options:  # a str first: a list is unhashable
+        raise _invalid(where, f"{value!r} is not one of {', '.join(map(repr, options))}")
+    return value
+
+
+def _array(value, where: str) -> list:
+    if type(value) is not list or not value:
+        raise _invalid(where, f"{value!r} is not a non-empty array")
+    return value
+
+
+def _object(value, where: str, allowed=None, required=()) -> dict:
+    """A JSON object with only `allowed` keys (any, if None) and every `required` one."""
+    if type(value) is not dict:
+        raise _invalid(where, f"{value!r} is not an object")
+    for key in value:
+        if allowed is not None and key not in allowed:
+            raise _invalid(f"{where}/{key}" if where else key, "unknown key")
+    for key in required:
+        if key not in value:
+            raise _invalid(where, f"{key!r} is required")
+    return value
+
+
+def _fields(cls, value, where: str, params: dict, extra=()) -> dict:
+    """The fields of `cls` that the object `value` gives, each read and checked.
+
+    `params` maps a config key to its field and reader.  A key is required if
+    its field has no class default, so the class holds the only defaults.
+    """
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    _object(value, where, (*extra, *params),
+            [key for key, (field, _) in params.items() if field in required])
+    return {
+        field: read(value[key], f"{where}/{key}")
+        for key, (field, read) in params.items() if key in value
+    }
+
+
+def _build(cls, where: str, given: dict):
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise _invalid(where, str(exc)) from exc
+
+
+def _distribution(value, where: str, kinds: dict):
+    """The object `value` as the class its "kind" names in `kinds`."""
+    kind = _object(value, where, required=("kind",))["kind"]
+    cls, params = kinds[_choice(kind, f"{where}/kind", kinds)]
+    return _build(cls, where, _fields(cls, value, where, params, extra=("kind",)))
+
+
+# kind -> (class, {config key: (class field, reader)})
+_SIZES = {
+    "geometric": (Geometric, {"p": ("p", _number)}),
+    "pareto": (ParetoDiscrete, {"alpha": ("alpha", _number),
+                                "min_size": ("min_size", _integer)}),
+    "fixed": (Fixed, {"packets": ("packets", _integer)}),
+}
+_KEY_MODES = {
+    "uniform": (UniformRandom, {}),
+    "zipf": (ZipfSkewed, {"skew": ("skew", _number)}),
+}
+_GAPS = {
+    "exponential": (ExponentialGap, {"mean_ms": ("mean_ns", _ms_to_ns)}),
+    "fixed": (FixedGap, {"gap_ms": ("gap_ns", _ms_to_ns)}),
+}
+
+# config key -> (class field, reader)
+_SYNTHETIC = {
+    "flows": ("flow_count", partial(_integer, minimum=1)),
+    "sizes": ("size_distribution", partial(_distribution, kinds=_SIZES)),
+    "ips": ("ip_mode", partial(_distribution, kinds=_KEY_MODES)),
+    "ports": ("port_mode", partial(_distribution, kinds=_KEY_MODES)),
+    "tcp_fraction": ("tcp_fraction", partial(_number, minimum=0, maximum=1)),
+    "gaps": ("gap", partial(_distribution, kinds=_GAPS)),
+    "duration_ms": ("duration_ns", partial(_ms_to_ns, above=0)),
+    "seed": ("seed", _integer),
+}
+_TIMEOUTS = {
+    "idle_ms": ("idle_timeout_ns", partial(_ms_to_ns, above=0)),
+    "hard_ms": ("hard_timeout_ns", partial(_ms_to_ns, minimum=0)),
+}
+_CONFIG_KEYS = (
+    "seed", "trace", "randomize_keys_seed", "sampling", "rates", "trials", "experiments",
+    "timeouts", "install_delay_ms", "overhead", "export", "output_dir", "workers",
+)
+_CONFIG_REQUIRED = ("seed", "trace", "sampling", "rates", "trials", "experiments")
 
 
 @dataclass(frozen=True)
@@ -322,7 +253,7 @@ class CampaignConfig:
 
 
 def load_campaign(path: str) -> CampaignConfig:
-    """Parse and validate a campaign file; raises ConfigError on any problem."""
+    """Read and check a campaign file; a ConfigError names the path of any fault."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -330,59 +261,70 @@ def load_campaign(path: str) -> CampaignConfig:
         raise ConfigError(f"cannot read campaign file: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ConfigError(f"campaign file is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"campaign config invalid at {where}: {error.message}")
+    raw = _object(raw, "", _CONFIG_KEYS, _CONFIG_REQUIRED)
 
-    trace_cfg = raw["trace"]
-    trace_path = trace_cfg.get("csv")
-    if trace_path is not None:
-        resolved = Path(path).parent / trace_path
+    trace = _object(raw["trace"], "trace", ("csv", "synthetic"))
+    if len(trace) != 1:
+        raise _invalid("trace", "give exactly one of 'csv' and 'synthetic'")
+    trace_path = synthetic = None
+    if "csv" in trace:
+        resolved = Path(path).parent / _string(trace["csv"], "trace/csv")
         if not os.path.isfile(resolved):
-            raise ConfigError(f"trace not found: {resolved}")
+            raise _invalid("trace/csv", f"trace not found: {resolved}")
         trace_path = str(resolved)
-    synthetic = None
-    if "synthetic" in trace_cfg:
-        try:
-            synthetic = _parse_synthetic(trace_cfg["synthetic"])
-        except ValueError as exc:
-            raise ConfigError(f"bad synthetic trace spec: {exc}") from exc
+    else:
+        where = "trace/synthetic"
+        synthetic = _build(SyntheticSpec, where,
+                           _fields(SyntheticSpec, trace["synthetic"], where, _SYNTHETIC))
 
-    sampling = tuple(
-        (SamplingMethod(item["method"]), SamplingMode(item.get("mode", "source")))
-        for item in raw["sampling"]
+    sampling = []
+    for i, item in enumerate(_array(raw["sampling"], "sampling")):
+        item = _object(item, f"sampling/{i}", ("method", "mode"), ("method",))
+        sampling.append((
+            SamplingMethod(_choice(item["method"], f"sampling/{i}/method",
+                                   [m.value for m in SamplingMethod])),
+            SamplingMode(_choice(item.get("mode", "source"), f"sampling/{i}/mode",
+                                 [m.value for m in SamplingMode])),
+        ))
+    rates = tuple(
+        parse_at(f"rates/{i}", parse_rate, _string(r, f"rates/{i}"))
+        for i, r in enumerate(_array(raw["rates"], "rates"))
     )
-    rates = tuple(parse_at(f"rates/{i}", parse_rate, r) for i, r in enumerate(raw["rates"]))
-    overhead = raw.get("overhead", {})
-    delays = tuple(_ms_to_ns(d) for d in overhead.get("delays_ms", DEFAULT_OVERHEAD_DELAYS_MS))
+    experiments = tuple(
+        _choice(e, f"experiments/{i}", _EXPERIMENTS)
+        for i, e in enumerate(_array(raw["experiments"], "experiments"))
+    )
+    overhead = _object(raw.get("overhead", {}), "overhead", ("delays_ms", "rate"))
+    delays = tuple(
+        _ms_to_ns(d, f"overhead/delays_ms/{i}", minimum=0)
+        for i, d in enumerate(_array(overhead.get("delays_ms", DEFAULT_OVERHEAD_DELAYS_MS),
+                                     "overhead/delays_ms"))
+    )
     for name, values in (
         ("sampling", sampling),
         ("rates", rates),
+        ("experiments", experiments),
         ("overhead/delays_ms", delays),
     ):
         for i, value in enumerate(values):
             first = values.index(value)
             if first < i:
-                raise ConfigError(f"campaign config invalid at {name}/{i}: same as {name}/{first}")
-    timeouts = raw.get("timeouts", {})
-    try:
-        controller = ControllerConfig(
-            install_delay_ns=_ms_to_ns(raw.get("install_delay_ms", 0)),
-            idle_timeout_ns=_ms_to_ns(timeouts.get("idle_ms", 15_000)),
-            hard_timeout_ns=_ms_to_ns(timeouts.get("hard_ms", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    overhead_rate = parse_at("overhead/rate", parse_rate, overhead.get("rate", "1"))
-    if "overhead" in raw["experiments"] and overhead_rate != 1 and len(sampling) > 1:
-        raise ConfigError(
-            "campaign config invalid at overhead/rate: a rate other than 1 runs one"
-            f" sampling method, but {len(sampling)} sampling entries are given"
-        )
-    export = raw.get("export", {})
-    workers = raw.get("workers")  # the schema already keeps it >= 1
-    if workers is None:
+                raise _invalid(f"{name}/{i}", f"same as {name}/{first}")
+
+    timing = _fields(ControllerConfig, raw.get("timeouts", {}), "timeouts", _TIMEOUTS)
+    if "install_delay_ms" in raw:
+        timing["install_delay_ns"] = _ms_to_ns(raw["install_delay_ms"], "install_delay_ms",
+                                               minimum=0)
+    controller = _build(ControllerConfig, "timeouts", timing)  # only timeouts can clash
+    overhead_rate = parse_at("overhead/rate", parse_rate,
+                             _string(overhead.get("rate", "1"), "overhead/rate"))
+    if "overhead" in experiments and overhead_rate != 1 and len(sampling) > 1:
+        raise _invalid("overhead/rate", "a rate other than 1 runs one sampling method,"
+                       f" but {len(sampling)} sampling entries are given")
+    export = _object(raw.get("export", {}), "export", ("rate", "format"))
+    if "workers" in raw:
+        workers = _integer(raw["workers"], "workers", minimum=1)
+    else:
         text = os.environ.get(WORKERS_ENV) or "1"
         try:
             workers = ascii_int(text)
@@ -391,20 +333,22 @@ def load_campaign(path: str) -> CampaignConfig:
         if workers < 1:
             raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
     return CampaignConfig(
-        seed=raw["seed"],
+        seed=_integer(raw["seed"], "seed"),
         trace_path=trace_path,
         synthetic=synthetic,
-        randomize_keys_seed=raw.get("randomize_keys_seed"),
-        sampling=sampling,
+        randomize_keys_seed=(_integer(raw["randomize_keys_seed"], "randomize_keys_seed")
+                             if "randomize_keys_seed" in raw else None),
+        sampling=tuple(sampling),
         rates=rates,
-        trials=raw["trials"],
-        experiments=tuple(raw["experiments"]),
+        trials=_integer(raw["trials"], "trials", minimum=1),
+        experiments=experiments,
         controller=controller,
         overhead_delays_ns=delays,
         overhead_rate=overhead_rate,
-        export_rate=parse_at("export/rate", parse_rate, export.get("rate", raw["rates"][0])),
-        export_format=export.get("format", "jsonl"),
-        output_dir=raw.get("output_dir"),
+        export_rate=parse_at("export/rate", parse_rate,
+                             _string(export.get("rate", raw["rates"][0]), "export/rate")),
+        export_format=_choice(export.get("format", "jsonl"), "export/format", ("jsonl", "csv")),
+        output_dir=_string(raw["output_dir"], "output_dir") if "output_dir" in raw else None,
         workers=workers,
     )
 

@@ -79,7 +79,9 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                     dst_ip = parse_ip(row[2])
                 except ValueError as exc:
                     raise TraceFormatError(f"line {lineno}: dst_ip {exc}") from exc
-                protocol = _PROTOCOLS.get(row[5]) or _PROTOCOLS.get(row[5].strip().upper())
+                protocol = _PROTOCOLS.get(row[5])
+                if protocol is None and row[5].isascii():  # any case, but no padding
+                    protocol = _PROTOCOLS.get(row[5].upper())
                 if protocol is None:
                     raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
                 if ts < 0:

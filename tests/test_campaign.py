@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +20,11 @@ from ofmon.campaign import (
     parse_rate,
     run_campaign,
 )
+from ofmon.controller import ControllerConfig
 from ofmon.evaluation import run_overhead_experiment
 from ofmon.model import flow_key_of
 from ofmon.sampling import SamplingMethod, SamplingMode
-from ofmon.traceio import write_csv_trace
+from ofmon.traceio import ParetoDiscrete, SyntheticSpec, write_csv_trace
 
 from helpers import random_trace
 
@@ -145,7 +147,7 @@ class TestLoadCampaign:
             ({"timeouts": {"idle_ms": 0}}, ()),
             ({"install_delay_ms": -1}, ()),
             ({"workers": 0}, ()),
-            # numbers the schema's own types admit but the campaign cannot use
+            # numbers JSON admits but the campaign cannot use
             ({"seed": 1.0}, ()),
             ({"trials": 2.0, "sampling": [{"method": "ip-suffix"}]}, ()),
             ({"workers": 2.0}, ()),
@@ -165,11 +167,91 @@ class TestLoadCampaign:
              ()),
             ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "pareto", "alpha": 1e-300}}}},
              ()),
+            ({"trace": {}}, ()),
+            ({"trace": {"csv": "t.csv", "synthetic": {"flows": 5}}}, ()),
+            ({"sampling": [{"method": "hash", "weight": 1}]}, ()),
+            ({"sampling": [{"method": "hash", "mode": "both"}]}, ()),
+            ({"experiments": "rate"}, ()),
+            ({"trace": {"synthetic": {"flows": 5, "tcp_fraction": 1.5}}}, ()),
+            ({"trace": {"synthetic": {"flows": 5, "duration_ms": 0}}}, ()),
+            ({"timeouts": {"hard_ms": -1}}, ()),
+            ({"export": {"format": "xml"}}, ()),
+            ({"output_dir": 3}, ()),
+            ({"randomize_keys_seed": "3"}, ()),
+            ({"seed": True}, ()),
+            # a kind that cannot be hashed, and an int too large for a float
+            ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": ["geometric"]}}}}, ()),
+            ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "pareto", "alpha": 10**400}}}},
+             ()),
         ],
     )
     def test_invalid_configs(self, tmp_path, overrides, drop):
         with pytest.raises(ConfigError):
             load_campaign(write_config(tmp_path, overrides, drop))
+
+    def test_a_root_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="invalid at <root>: "):
+            load_campaign(str(path))
+
+    @pytest.mark.parametrize("overrides,drop,where", [
+        ({}, ("seed",), "<root>: 'seed' is required"),
+        ({"unknown_key": 1}, (), "unknown_key: unknown key"),
+        ({"seed": True}, (), "seed: True is not an integer"),
+        ({"trace": {}}, (), "trace: "),
+        ({"trace": {"csv": "t.csv", "synthetic": {"flows": 5}}}, (), "trace: "),
+        ({"trace": {"csv": "no-such-file.csv"}}, (), "trace/csv: trace not found"),
+        ({"trace": {"synthetic": {"flows": 5, "tcp_fraction": 1.5}}}, (),
+         "trace/synthetic/tcp_fraction: "),
+        ({"trace": {"synthetic": {"flows": 5, "duration_ms": 0}}}, (),
+         "trace/synthetic/duration_ms: "),
+        ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": ["geometric"]}}}}, (),
+         "trace/synthetic/sizes/kind: "),
+        ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "pareto", "alpha": 10**400}}}},
+         (), "trace/synthetic/sizes: "),
+        ({"trace": {"synthetic": {"flows": 5, "ips": {"kind": "zipf"}}}}, (),
+         "trace/synthetic/ips: 'skew' is required"),
+        ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "fixed", "mean_ms": 1}}}}, (),
+         "trace/synthetic/gaps/mean_ms: unknown key"),
+        ({"sampling": [{"method": "hash", "weight": 1}]}, (), "sampling/0/weight: unknown key"),
+        ({"sampling": [{"method": "hash"}, {"method": "port", "mode": "both"}]}, (),
+         "sampling/1/mode: "),
+        ({"experiments": "rate"}, (), "experiments: "),
+        ({"experiments": ["rate", "wmrd", "rate"]}, (), "experiments/2: same as experiments/0"),
+        ({"timeouts": {"hard_ms": -1}}, (), "timeouts/hard_ms: "),
+        ({"timeouts": {"idle_ms": 100, "hard_ms": 50}}, (), "timeouts: "),
+        ({"install_delay_ms": 1e308}, (), "install_delay_ms: 1e+308 ms is out of range"),
+        ({"overhead": {"delays_ms": [0, 1e303]}}, (), "overhead/delays_ms/1: "),
+        ({"export": {"format": "xml"}}, (), "export/format: "),
+        ({"output_dir": 3}, (), "output_dir: "),
+        ({"randomize_keys_seed": "3"}, (), "randomize_keys_seed: "),
+    ])
+    def test_a_fault_names_its_path(self, tmp_path, overrides, drop, where):
+        with pytest.raises(ConfigError, match=f"^campaign config invalid at {re.escape(where)}"):
+            load_campaign(write_config(tmp_path, overrides, drop))
+
+    @pytest.mark.parametrize("overrides,read,expected", [
+        ({"trace": {"synthetic": {"flows": 5, "tcp_fraction": 0}}},
+         lambda c: c.synthetic.tcp_fraction, 0),
+        ({"trace": {"synthetic": {"flows": 5, "tcp_fraction": 1}}},
+         lambda c: c.synthetic.tcp_fraction, 1),
+        ({"timeouts": {"hard_ms": 0}}, lambda c: c.controller.hard_timeout_ns, 0),
+        ({"install_delay_ms": 0}, lambda c: c.controller.install_delay_ns, 0),
+        ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "pareto", "alpha": 1.5}}}},
+         lambda c: c.synthetic.size_distribution, ParetoDiscrete(1.5, min_size=1)),
+        ({"sampling": [{"method": "port"}]}, lambda c: c.sampling,
+         ((SamplingMethod.PORT_BASED, SamplingMode.SOURCE_ONLY),)),
+        ({"trace": {"synthetic": {"flows": 5, "duration_ms": 1e-6}}},
+         lambda c: c.synthetic.duration_ns, 1),
+    ])
+    def test_edge_values_load(self, tmp_path, overrides, read, expected):
+        assert read(load_campaign(write_config(tmp_path, overrides))) == expected
+
+    def test_absent_keys_take_the_class_defaults(self, tmp_path):
+        cfg = load_campaign(write_config(tmp_path, {"trace": {"synthetic": {"flows": 5}}}))
+        assert cfg.synthetic == SyntheticSpec(flow_count=5)
+        assert cfg.controller == ControllerConfig()
 
     def test_overhead_rate_below_one_needs_a_single_sampling_entry(self, tmp_path):
         overrides = {"overhead": {"delays_ms": [0, 5], "rate": "1/2"}}
@@ -355,7 +437,7 @@ FUZZ_BASE = {
     "workers": 2,
 }
 
-# numbers of every kind the schema's own types would let through
+# numbers of every kind JSON can spell, the ones the campaign rejects included
 numbers = st.one_of(
     st.sampled_from([1.0, 2.0, 0.5, 1e308, float("nan"), float("inf"), float("-inf"),
                      2**64, 10**400, -(10**400)]),

@@ -193,6 +193,14 @@ class TestSimulate:
         assert main(["simulate", "--trace", str(bad), "--method", "hash",
                      "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 2
 
+    def test_padded_protocol_is_exit_2_and_located(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("ts_ns,src_ip,dst_ip,src_port,dst_port,proto,len\n"
+                        "0,1.2.3.4,5.6.7.8,1,2,\u00a0tcp\u3000,64\n".encode())
+        assert main(["simulate", "--trace", str(bad), "--method", "hash",
+                     "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert "line 2: unsupported protocol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["src_ip", "dst_ip"])
     @pytest.mark.parametrize("bad", [
         "010.0.0.1", "\uff11.2.3.4", "1.2.3.4/32", " 1.2.3.4", "1.2.3.256",
@@ -231,6 +239,26 @@ class TestCampaignCommand:
         path.write_text(json.dumps({"seed": 1}))
         assert main(["campaign", str(path), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,where", [
+        ({"colour": "red"}, "at colour: unknown key"),
+        ({"trials": 2.0}, "at trials: 2.0 is not an integer"),
+        ({"install_delay_ms": 1e303}, "at install_delay_ms: 1e+303 ms is out of range"),
+    ])
+    def test_invalid_config_is_exit_2_and_names_its_path(self, tmp_path, capsys, overrides,
+                                                          where):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "seed": 3,
+            "trace": {"synthetic": {"flows": 10, "seed": 2}},
+            "sampling": [{"method": "hash"}],
+            "rates": ["1/4"],
+            "trials": 1,
+            "experiments": ["rate"],
+            **overrides,
+        }))
+        assert main(["campaign", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert f"campaign config invalid {where}" in capsys.readouterr().err
 
     def test_bad_worker_variable_is_exit_2_and_named(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "c.json"

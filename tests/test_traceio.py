@@ -66,9 +66,9 @@ class TestCsvRoundTrip:
 
     def test_lowercase_protocol_token_accepted(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", HEADER,
-                           "0,1.2.3.4,5.6.7.8,10,20,tcp,64")
-        (p,) = read_csv_trace(path)
-        assert p.key.protocol is Protocol.TCP
+                           "0,1.2.3.4,5.6.7.8,10,20,tcp,64",
+                           "1,1.2.3.4,5.6.7.8,10,20,Udp,64")
+        assert [p.key.protocol for p in read_csv_trace(path)] == [Protocol.TCP, Protocol.UDP]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", HEADER,
@@ -136,6 +136,15 @@ class TestCsvValidation:
         path = write_lines(tmp_path / "t.csv", HEADER, "0,1.2.3.4,5.6.7.8,0,0,ICMP,64")
         with pytest.raises(TraceFormatError, match="unsupported protocol"):
             self.read_all(path)
+
+    @pytest.mark.parametrize("proto", [
+        " tcp", "TCP ", "\tUDP", "\u00a0tcp\u3000", "\uff34\uff23\uff30",  # fullwidth TCP
+    ])
+    def test_padded_or_non_ascii_protocol(self, tmp_path, proto):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{HEADER}\n{ROW}\n0,1.2.3.4,5.6.7.8,10,20,{proto},64\n".encode())
+        with pytest.raises(TraceFormatError, match="^line 3: unsupported protocol"):
+            self.read_all(str(path))
 
     def test_negative_timestamp(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", HEADER, "-5,1.2.3.4,5.6.7.8,10,20,TCP,64")
