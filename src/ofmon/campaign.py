@@ -11,7 +11,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -376,6 +375,8 @@ def _run_cells(sizes: Counter, jobs: list, workers: int):
     workers = min(workers, len(jobs))  # a pool starts all its processes at once
     if workers <= 1:
         return [_run_cell(sizes, job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(sizes,)
     ) as pool:
@@ -430,14 +431,23 @@ def _write_trial_tables(out: Path, experiment: str, summaries: list) -> list[str
     return [results, summary]
 
 
+def make_output_dir(path: str) -> Path:
+    """The output directory, created with its parents if need be; a ConfigError if it cannot be."""
+    try:
+        out = Path(path)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc.strerror or exc}") from exc
+    return out
+
+
 def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[str]:
     """Execute every selected experiment; returns the files written.
 
     Cells (method, mode, rate) may run in a worker pool, but output ordering
     is fixed by sorting on the cell coordinates, never by completion.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir)
     trace = config.load_trace()
     progress(f"trace ready: {len(trace)} packets")
     written: list[str] = []
@@ -451,17 +461,20 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
     def cell_seed(tag: str, method, mode, rate) -> int:
         return derive_seed(config.seed, tag, method.value, mode.value, str(rate))
 
+    # every trial cell of every experiment in one pool, so no experiment waits
+    # for the slowest cell of the one before it
     trial_experiments = [e for e in _TRIAL_TABLES if e in config.experiments]
-    sizes = flow_sizes(trace) if trial_experiments else None
-    for experiment in trial_experiments:
-        jobs = [
-            (experiment, m, mo, r, config.trials, cell_seed(experiment, m, mo, r))
-            for m, mo, r in cells
-        ]
-        summaries = _run_cells(sizes, jobs, config.workers)
-        summaries.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))
-        written += _write_trial_tables(out, experiment, summaries)
-        progress(f"{experiment} experiment done: {len(summaries)} cells")
+    jobs = [
+        (experiment, m, mo, r, config.trials, cell_seed(experiment, m, mo, r))
+        for experiment in trial_experiments
+        for m, mo, r in cells
+    ]
+    summaries = _run_cells(flow_sizes(trace), jobs, config.workers) if jobs else []
+    for i, experiment in enumerate(trial_experiments):
+        done = summaries[i * len(cells):(i + 1) * len(cells)]
+        done.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))
+        written += _write_trial_tables(out, experiment, done)
+        progress(f"{experiment} experiment done: {len(done)} cells")
 
     if "overhead" in config.experiments:
         sampling_cfg = None

@@ -10,7 +10,14 @@ import re
 import sys
 from fractions import Fraction
 
-from .campaign import ConfigError, load_campaign, parse_at, parse_rate, run_campaign
+from .campaign import (
+    ConfigError,
+    load_campaign,
+    make_output_dir,
+    parse_at,
+    parse_rate,
+    run_campaign,
+)
 from .controller import ControllerConfig, export_records
 from .model import ascii_int, ascii_number, flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate, generate_rules
@@ -81,8 +88,21 @@ def _parse_gaps(token: str):
     raise ConfigError(f"unknown gap distribution {token!r} (exp:DUR or fixed:DUR)")
 
 
+def _check_output_file(flag: str, path: str) -> None:
+    """Fail before the work if `path` is a directory or has no directory to hold it.
+
+    The file is not created here, so a run that fails later leaves no output.
+    """
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag}: {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag}: no directory {parent} to write {path} in")
+
+
 def cmd_gen_trace(args: argparse.Namespace) -> int:
     """Generate a synthetic trace, or randomize the keys of an existing one."""
+    _check_output_file("-o", args.out)
     if args.randomize:
         if not os.path.isfile(args.randomize):
             raise ConfigError(f"trace not found: {args.randomize}")
@@ -112,6 +132,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     """Replay one trace through the monitoring pipeline and export records."""
     if not os.path.isfile(args.trace):
         raise ConfigError(f"trace not found: {args.trace}")
+    _check_output_file("--out", args.out)
     target = parse_at("--rate", parse_rate, args.rate)
     sampling = config_for_rate(args.method, args.mode, target, args.seed)
     controller = ControllerConfig(
@@ -143,6 +164,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             raise ConfigError("worker count must be >= 1")
         config = dataclasses.replace(config, workers=args.workers)
     out_dir = args.out or config.output_dir or "campaign_out"
+    parse_at("--out" if args.out else "output_dir", make_output_dir, out_dir)
     files = run_campaign(config, out_dir)
     print(f"campaign complete: {len(files)} files in {out_dir}")
     return 0

@@ -54,71 +54,94 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                 )
             lineno = 1
             prev_ts = None
+            # key text of every row that passed _checked_packet -> its FlowKey.
+            # Accepted fields hold no comma, so the joined text names its fields.
+            keys: dict[str, FlowKey] = {}
             for lineno, row in enumerate(reader, start=2):
-                if not row:
+                # a later packet of a known flow checks only what can differ;
+                # any other row, or one that fails here, takes the full check
+                try:
+                    ts, src_ip, dst_ip, src_port, dst_port, proto, length = row
+                    key = keys[f"{src_ip},{dst_ip},{src_port},{dst_port},{proto}"]
+                    digits = ts + length
+                    fast = (digits.isdigit() and digits.isascii()
+                            and prev_ts <= (ts := int(ts)) and (length := int(length)) >= 1)
+                except (ValueError, KeyError):
+                    fast = False
+                if fast:
+                    packet = PacketRecord(ts, key, length)
+                elif row:
+                    packet = _checked_packet(row, lineno, prev_ts)
+                    keys[",".join(row[1:6])] = packet.key
+                    ts = packet.timestamp_ns
+                else:
                     continue
-                if len(row) != len(CSV_HEADER):
-                    raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
-                if not ascii_number(row[0] + row[3] + row[4] + row[6]):
-                    raise TraceFormatError(
-                        f"line {lineno}: ts_ns, src_port, dst_port and len must be ASCII"
-                        f" integers, got {row[0]!r}, {row[3]!r}, {row[4]!r}, {row[6]!r}"
-                    )
-                try:
-                    ts = int(row[0])
-                    src_port = int(row[3])
-                    dst_port = int(row[4])
-                    length = int(row[6])
-                except ValueError as exc:
-                    raise TraceFormatError(f"line {lineno}: {exc}") from exc
-                try:
-                    src_ip = parse_ip(row[1])
-                except ValueError as exc:
-                    raise TraceFormatError(f"line {lineno}: src_ip {exc}") from exc
-                try:
-                    dst_ip = parse_ip(row[2])
-                except ValueError as exc:
-                    raise TraceFormatError(f"line {lineno}: dst_ip {exc}") from exc
-                protocol = _PROTOCOLS.get(row[5])
-                if protocol is None and row[5].isascii():  # any case, but no padding
-                    protocol = _PROTOCOLS.get(row[5].upper())
-                if protocol is None:
-                    raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
-                if ts < 0:
-                    raise TraceFormatError(f"line {lineno}: negative timestamp {ts}")
-                if prev_ts is not None and ts < prev_ts:
-                    raise TraceFormatError(
-                        f"line {lineno}: timestamp {ts} goes backwards (previous {prev_ts})"
-                    )
-                if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
-                    raise TraceFormatError(f"line {lineno}: port out of range")
-                if length < 1:
-                    raise TraceFormatError(f"line {lineno}: packet length must be >= 1")
                 prev_ts = ts
-                key = FlowKey(src_ip, dst_ip, src_port, dst_port, protocol)
-                yield PacketRecord(ts, key, length)
+                yield packet
     except (OSError, EOFError, zlib.error, csv.Error) as exc:
         raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc
 
 
+def _checked_packet(row: list[str], lineno: int, prev_ts: int | None) -> PacketRecord:
+    """The packet a data row holds, every field checked; the message names the line."""
+    if len(row) != len(CSV_HEADER):
+        raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
+    if not ascii_number(row[0] + row[3] + row[4] + row[6]):
+        raise TraceFormatError(
+            f"line {lineno}: ts_ns, src_port, dst_port and len must be ASCII"
+            f" integers, got {row[0]!r}, {row[3]!r}, {row[4]!r}, {row[6]!r}"
+        )
+    try:
+        ts = int(row[0])
+        src_port = int(row[3])
+        dst_port = int(row[4])
+        length = int(row[6])
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from exc
+    try:
+        src_ip = parse_ip(row[1])
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: src_ip {exc}") from exc
+    try:
+        dst_ip = parse_ip(row[2])
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: dst_ip {exc}") from exc
+    protocol = _PROTOCOLS.get(row[5])
+    if protocol is None and row[5].isascii():  # any case, but no padding
+        protocol = _PROTOCOLS.get(row[5].upper())
+    if protocol is None:
+        raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
+    if ts < 0:
+        raise TraceFormatError(f"line {lineno}: negative timestamp {ts}")
+    if prev_ts is not None and ts < prev_ts:
+        raise TraceFormatError(
+            f"line {lineno}: timestamp {ts} goes backwards (previous {prev_ts})"
+        )
+    if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+        raise TraceFormatError(f"line {lineno}: port out of range")
+    if length < 1:
+        raise TraceFormatError(f"line {lineno}: packet length must be >= 1")
+    return PacketRecord(ts, FlowKey(src_ip, dst_ip, src_port, dst_port, protocol), length)
+
+
 def write_csv_trace(packets: Iterable[PacketRecord], path: str) -> int:
-    """Write packets out in the trace format; returns the packet count."""
+    """Write packets out in the trace format; returns the packet count.
+
+    No field needs CSV quoting (integers, dotted quads, TCP or UDP), so each
+    line is joined directly, with each flow's key text formatted once.
+    """
     count = 0
+    texts: dict[FlowKey, str] = {}
     with _open_text(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\n")
         for ts, key, length in packets:
-            writer.writerow(
-                [
-                    ts,
-                    format_ip(key.src_ip),
-                    format_ip(key.dst_ip),
-                    key.src_port,
-                    key.dst_port,
-                    key.protocol.name,
-                    length,
-                ]
-            )
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = (
+                    f"{format_ip(key.src_ip)},{format_ip(key.dst_ip)},"
+                    f"{key.src_port},{key.dst_port},{key.protocol.name}"
+                )
+            fh.write(f"{ts},{text},{length}\n")
             count += 1
     return count
 

@@ -1,5 +1,6 @@
 """Campaign loading, validation, outputs, and rerun determinism."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -297,6 +298,30 @@ class TestLoadCampaign:
             load_campaign(str(bad))
 
 
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Runs the campaign's process pool in this process; lists the size of each pool."""
+    sizes = []
+
+    class InProcessPool:  # a real pool would start all max_workers processes
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(campaign, "_worker_sizes", None)
+    return sizes
+
+
 class TestRunCampaign:
     def run(self, tmp_path, name, overrides=None):
         cfg = load_campaign(write_config(tmp_path, overrides, name=f"{name}.json"))
@@ -385,29 +410,22 @@ class TestRunCampaign:
         assert list(csv.reader(hard_csv.splitlines()))[1:] == direct
         assert sum(p.redundant_packets for p in points if p.install_delay_ns) == 150
 
-    def test_pool_is_no_larger_than_the_job_list(self, tmp_path, monkeypatch):
-        # a stand-in pool: a real one would start all max_workers processes
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(campaign, "_worker_sizes", None)
+    def test_pool_is_no_larger_than_the_job_list(self, tmp_path, pool_sizes):
         serial, _ = self.run(tmp_path, "s", {"experiments": ["rate"]})
         pooled, _ = self.run(tmp_path, "p", {"experiments": ["rate"], "workers": 100_000})
-        assert sizes == [2]  # two cells, so two rate jobs
+        assert pool_sizes == [2]  # two cells, so two rate jobs
+        for a, b in zip(sorted(serial), sorted(pooled)):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_one_pool_runs_the_cells_of_every_trial_experiment(self, tmp_path, pool_sizes):
+        experiments = {"experiments": ["wmrd", "rate"]}
+        serial, _ = self.run(tmp_path, "s", experiments)
+        lines = []
+        cfg = load_campaign(write_config(tmp_path, {**experiments, "workers": 100_000}))
+        pooled = run_campaign(cfg, str(tmp_path / "p"), progress=lines.append)
+        assert pool_sizes == [4]  # two cells of each experiment
+        assert lines == ["trace ready: 800 packets", "rate experiment done: 2 cells",
+                         "wmrd experiment done: 2 cells"]
         for a, b in zip(sorted(serial), sorted(pooled)):
             assert Path(a).read_bytes() == Path(b).read_bytes()
 

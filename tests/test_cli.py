@@ -1,5 +1,6 @@
 """Command-line entry points: argument parsing, exit codes, outputs."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -83,6 +84,15 @@ class TestGen:
     def test_needs_a_source(self, tmp_path, capsys):
         assert main(["gen", "-o", str(tmp_path / "x.csv")]) == 2
         assert "flows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out,problem", [
+        ("nowhere/g.csv", "-o: no directory "), (".", "-o: ")
+    ])
+    def test_unwritable_output_is_exit_2_before_the_work(self, tmp_path, capsys, out, problem):
+        # a bad size spec too: the output is checked first
+        assert main(["gen", "--flows", "3", "--sizes", "cauchy:1",
+                     "-o", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {problem}")
 
     def test_bad_size_spec(self, tmp_path):
         assert main(["gen", "--flows", "5", "--sizes", "cauchy:1",
@@ -192,6 +202,20 @@ class TestSimulate:
                        "0,1.2.3.4,5.6.7.8,1,2,ICMP,64\n")
         assert main(["simulate", "--trace", str(bad), "--method", "hash",
                      "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("out,problem", [
+        ("nowhere/r.jsonl", "--out: no directory "), ("bad.csv/r.jsonl", "--out: no directory "),
+        (".", "--out: "),
+    ])
+    def test_unwritable_out_is_exit_2_before_the_replay(self, tmp_path, capsys, out, problem):
+        # a malformed trace too: the output is checked before the trace is read
+        bad = tmp_path / "bad.csv"
+        bad.write_text("ts_ns,src_ip,dst_ip,src_port,dst_port,proto,len\n"
+                       "0,1.2.3.4,5.6.7.8,1,2,ICMP,64\n")
+        assert main(["simulate", "--trace", str(bad), "--method", "hash",
+                     "--rate", "1/8", "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {problem}")
 
     def test_padded_protocol_is_exit_2_and_located(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -233,6 +257,25 @@ class TestCampaignCommand:
         assert (out / "manifest.json").exists()
         assert (out / "rate_results.csv").exists()
         assert (out / "records_hash_source.jsonl").exists()
+
+    def test_output_directory_that_cannot_be_made_is_exit_2_and_named(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = {
+            "seed": 3,
+            "trace": {"synthetic": {"flows": 10, "seed": 2}},
+            "sampling": [{"method": "hash"}],
+            "rates": ["1/4"],
+            "trials": 1,
+            "experiments": ["rate"],
+            "output_dir": str(blocker / "from-config"),
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["campaign", str(path)]) == 2
+        assert "output_dir: cannot create directory " in capsys.readouterr().err
+        assert main(["campaign", str(path), "--out", str(blocker)]) == 2
+        assert "--out: cannot create directory " in capsys.readouterr().err
 
     def test_invalid_config_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -384,7 +427,7 @@ class InProcessPool:
 def assert_exit_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(campaign, "ProcessPoolExecutor", InProcessPool), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool), \
             mock.patch.object(campaign, "_worker_sizes", None):
         code = exit_code(argv)
     event(f"exit {code}")

@@ -1,6 +1,8 @@
 """Trace file round trips, input validation, synthetic generation, key scrambling."""
 
+import csv
 import gzip
+import io
 import itertools
 import math
 import random
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofmon.model import FlowKey, PacketRecord, Protocol, flow_key_of
+from ofmon.model import FlowKey, PacketRecord, Protocol, flow_key_of, format_ip
 from ofmon.traceio import (
     CSV_HEADER,
     ExponentialGap,
@@ -32,6 +34,7 @@ from ofmon.traceio import (
 )
 
 from helpers import random_trace
+from trace_oracle import read_csv_trace as oracle_read_csv_trace
 
 HEADER = ",".join(CSV_HEADER)
 ROW = "0,1.2.3.4,5.6.7.8,10,20,TCP,64"
@@ -70,6 +73,16 @@ class TestCsvRoundTrip:
                            "1,1.2.3.4,5.6.7.8,10,20,Udp,64")
         assert [p.key.protocol for p in read_csv_trace(path)] == [Protocol.TCP, Protocol.UDP]
 
+    def test_packets_of_a_flow_share_one_key_object(self, tmp_path):
+        keys = sorted({p.key for p in random_trace(30, seed=3)})
+        path = str(tmp_path / "t.csv")
+        write_csv_trace([PacketRecord(i, keys[i % 30], 64) for i in range(120)], path)
+        objects = {}
+        for p in read_csv_trace(path):
+            objects.setdefault(p.key, set()).add(id(p.key))
+        assert len(objects) == 30
+        assert all(len(ids) == 1 for ids in objects.values())
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", HEADER,
                            "0,1.2.3.4,5.6.7.8,10,20,TCP,64", "",
@@ -97,6 +110,20 @@ def test_write_then_read_gives_back_the_packets(tmp_path_factory, rows, name):
     path = str(tmp_path_factory.getbasetemp() / name)
     assert write_csv_trace(trace, path) == len(trace)
     assert list(read_csv_trace(path)) == trace
+    opener = gzip.open if name.endswith(".gz") else open
+    with opener(path, "rb") as fh:
+        assert fh.read() == csv_writer_bytes(trace)
+
+
+def csv_writer_bytes(trace):
+    """The trace file's text as csv.writer writes it: the writer's reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for ts, key, length in trace:
+        writer.writerow([ts, format_ip(key.src_ip), format_ip(key.dst_ip), key.src_port,
+                         key.dst_port, key.protocol.name, length])
+    return buf.getvalue().encode()
 
 
 class TestCsvValidation:
@@ -254,6 +281,88 @@ def test_any_trace_file_yields_packets_or_a_located_error(tmp_path_factory, file
         assert str(exc).startswith("line ")
     else:
         assert all(type(p) is PacketRecord for p in packets)
+
+
+# Rows for the differential test: most repeat a few key texts, so the reader's
+# memo of accepted keys serves them, and each field takes valid and invalid
+# spellings that pass or fail at every step of the row check.
+KEY_TEXTS = [  # the first four are valid
+    "1.2.3.4,5.6.7.8,10,20,TCP",
+    "9.8.7.6,5.4.3.2,65535,0,UDP",
+    "1.2.3.4,5.6.7.8,10,20,tcp",  # lowercase protocol
+    "1.2.3.4,5.6.7.8,-0,010,UDP",  # spellings int() reads as 0 and 10
+    "1.2.3.4,5.6.7.8,10,20, TCP",  # padded protocol
+    "1.2.3.256,5.6.7.8,10,20,TCP",  # bad octet
+    "1.2.3.4,5.6.7.8,70000,20,TCP",  # port out of range
+    '"1.2.3.4,5.6.7.8",10,20,TCP,',  # a quoted comma: not the first key's text
+]
+LONG = "9" * 4_301  # past int()'s digit limit
+NUMBERS = ["64", "1", "0", "0064", "-1", "+3", "1_0", "\u0661\u0660", LONG, ""]
+JUNK_ROWS = ["", "junk", "1,2,3", "0,1.2.3.4,5.6.7.8,10,20,TCP,64,extra"]
+
+
+@st.composite
+def memo_trace_file(draw):
+    """A file name and its bytes: the header, then rows that are mostly valid
+    packets of the first four KEY_TEXTS at rising timestamps, with now and
+    then a bad field, a junk row or a non-UTF-8 byte; plain or gzip, and
+    possibly cut short."""
+    lines = [HEADER.encode()]
+    ts = 0
+    for _ in range(draw(st.integers(0, 40))):
+        odd = draw(st.integers(0, 19))  # 5 and up: a valid row
+        if odd == 0:
+            lines.append(draw(st.sampled_from(JUNK_ROWS)).encode())
+            continue
+        if odd == 1:
+            lines.append(b"0,1.2.3.4,5.6.7.8,10,20,TCP,6\xe9")
+            continue
+        if odd == 2:
+            ts_text = draw(st.sampled_from([*NUMBERS, str(ts - 1), "00" + str(ts)]))
+        else:
+            ts += draw(st.integers(0, 3))
+            ts_text = str(ts)
+        length = draw(st.sampled_from(NUMBERS)) if odd == 3 else str(draw(st.integers(1, 1500)))
+        key = draw(st.sampled_from(KEY_TEXTS if odd == 4 else KEY_TEXTS[:4]))
+        lines.append(f"{ts_text},{key},{length}".encode())
+    data = b"\n".join(lines) + b"\n"
+    name = "t.csv"
+    if draw(st.booleans()):
+        name, data = "t.csv.gz", gzip.compress(data)
+    return name, data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+def packets_then_error(read, path):
+    """Every packet `read` yields, then its error message or None."""
+    packets = []
+    try:
+        for packet in read(path):
+            packets.append(packet)
+    except TraceFormatError as exc:
+        return packets, str(exc)
+    return packets, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=memo_trace_file())
+def test_the_reader_agrees_with_the_reference_reader(tmp_path_factory, file):
+    name, data = file
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(data)
+    assert packets_then_error(read_csv_trace, str(path)) == packets_then_error(
+        oracle_read_csv_trace, str(path))
+
+
+def test_every_spelling_after_known_keys_agrees_with_the_reference_reader(tmp_path):
+    # each valid key is seen at ts 5 first, so the last row finds its key
+    # text known whenever that text is valid
+    known = [f"5,{key},64" for key in KEY_TEXTS[:4]]
+    path = tmp_path / "t.csv"
+    for ts, key, length in itertools.product([*NUMBERS, "4", "5", "6", "005"], KEY_TEXTS,
+                                             [*NUMBERS, "1500"]):
+        path.write_bytes("\n".join([HEADER, *known, f"{ts},{key},{length}", ""]).encode())
+        assert packets_then_error(read_csv_trace, str(path)) == packets_then_error(
+            oracle_read_csv_trace, str(path)), (ts, key, length)
 
 
 class TestSyntheticGeneration:
