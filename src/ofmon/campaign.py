@@ -22,7 +22,7 @@ from .evaluation import (
     run_rate_experiment,
     run_wmrd_experiment,
 )
-from .model import ascii_int, ascii_number, flow_sizes
+from .model import ascii_number, flow_sizes
 from .sampling import SamplingMethod, SamplingMode, config_for_rate, derive_seed, generate_rules
 from .simulate import replay_flows
 from .traceio import (
@@ -39,7 +39,6 @@ from .traceio import (
     read_csv_trace,
 )
 
-WORKERS_ENV = "OFMON_WORKERS"
 DEFAULT_OVERHEAD_DELAYS_MS = [1, 5, 10, 20, 50, 100]
 
 
@@ -115,12 +114,18 @@ def _integer(value, where: str, minimum=None) -> int:
     return _number(value, where, minimum)
 
 
+_NS_LIMIT = 1 << 63  # the range of a signed 64-bit nanosecond clock
+
+
 def _ms_to_ns(value, where: str, **bounds) -> int:
     ms = _number(value, where, **bounds)
     try:
-        return int(round(ms * 1_000_000))
-    except OverflowError as exc:
-        raise _invalid(where, f"{ms} ms is out of range") from exc
+        ns = int(round(ms * 1_000_000))
+    except OverflowError:  # a float past the range of an int
+        ns = _NS_LIMIT
+    if not -_NS_LIMIT <= ns < _NS_LIMIT:
+        raise _invalid(where, f"{ms} ms is out of range")
+    return ns
 
 
 def _string(value, where: str) -> str:
@@ -321,16 +326,6 @@ def load_campaign(path: str) -> CampaignConfig:
         raise _invalid("overhead/rate", "a rate other than 1 runs one sampling method,"
                        f" but {len(sampling)} sampling entries are given")
     export = _object(raw.get("export", {}), "export", ("rate", "format"))
-    if "workers" in raw:
-        workers = _integer(raw["workers"], "workers", minimum=1)
-    else:
-        text = os.environ.get(WORKERS_ENV) or "1"
-        try:
-            workers = ascii_int(text)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
     return CampaignConfig(
         seed=_integer(raw["seed"], "seed"),
         trace_path=trace_path,
@@ -348,7 +343,7 @@ def load_campaign(path: str) -> CampaignConfig:
                              _string(export.get("rate", raw["rates"][0]), "export/rate")),
         export_format=_choice(export.get("format", "jsonl"), "export/format", ("jsonl", "csv")),
         output_dir=_string(raw["output_dir"], "output_dir") if "output_dir" in raw else None,
-        workers=workers,
+        workers=_integer(raw.get("workers", 1), "workers", minimum=1),
     )
 
 

@@ -93,11 +93,23 @@ def _check_output_file(flag: str, path: str) -> None:
 
     The file is not created here, so a run that fails later leaves no output.
     """
+    if not path:
+        raise ConfigError(f"{flag}: empty path")
     if os.path.isdir(path):
         raise ConfigError(f"{flag}: {path} is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"{flag}: no directory {parent} to write {path} in")
+
+
+def _set_flags(obj, *flags):
+    """`obj` with each (flag, field, parse, text) applied in turn by dataclasses.replace.
+
+    The class checks each step, so a value it rejects names the flag that set it.
+    """
+    for flag, field, parse, text in flags:
+        obj = parse_at(flag, lambda t: dataclasses.replace(obj, **{field: parse(t)}), text)
+    return obj
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
@@ -110,15 +122,14 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
     else:
         if args.flows is None:
             raise ConfigError("either --flows or --randomize is required")
-        spec = SyntheticSpec(
-            flow_count=args.flows,
-            size_distribution=parse_at("--sizes", _parse_sizes, args.sizes),
-            ip_mode=parse_at("--ips", _parse_keymode, args.ips),
-            port_mode=parse_at("--ports", _parse_keymode, args.ports),
-            tcp_fraction=args.tcp_fraction,
-            gap=parse_at("--gaps", _parse_gaps, args.gaps),
-            duration_ns=parse_at("--duration", parse_duration_ns, args.duration),
-            seed=args.seed,
+        spec = _set_flags(
+            parse_at("--flows", lambda n: SyntheticSpec(flow_count=n, seed=args.seed), args.flows),
+            ("--sizes", "size_distribution", _parse_sizes, args.sizes),
+            ("--ips", "ip_mode", _parse_keymode, args.ips),
+            ("--ports", "port_mode", _parse_keymode, args.ports),
+            ("--tcp-fraction", "tcp_fraction", float, args.tcp_fraction),
+            ("--gaps", "gap", _parse_gaps, args.gaps),
+            ("--duration", "duration_ns", parse_duration_ns, args.duration),
         )
         packets = generate_trace(spec)
     count = write_csv_trace(packets, args.out)
@@ -135,10 +146,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_output_file("--out", args.out)
     target = parse_at("--rate", parse_rate, args.rate)
     sampling = config_for_rate(args.method, args.mode, target, args.seed)
-    controller = ControllerConfig(
-        install_delay_ns=parse_at("--delay", parse_duration_ns, args.delay),
-        idle_timeout_ns=parse_at("--idle", parse_duration_ns, args.idle),
-        hard_timeout_ns=parse_at("--hard", parse_duration_ns, args.hard),
+    # idle before hard: the default hard timeout 0 fits any idle timeout
+    controller = _set_flags(
+        ControllerConfig(),
+        ("--delay", "install_delay_ns", parse_duration_ns, args.delay),
+        ("--idle", "idle_timeout_ns", parse_duration_ns, args.idle),
+        ("--hard", "hard_timeout_ns", parse_duration_ns, args.hard),
     )
     rules = generate_rules(sampling)
     result = replay_flows(read_csv_trace(args.trace), rules, controller)
@@ -161,7 +174,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     config = load_campaign(args.config)
     if args.workers is not None:
         if args.workers < 1:
-            raise ConfigError("worker count must be >= 1")
+            raise ConfigError("--workers: worker count must be >= 1")
         config = dataclasses.replace(config, workers=args.workers)
     out_dir = args.out or config.output_dir or "campaign_out"
     parse_at("--out" if args.out else "output_dir", make_output_dir, out_dir)
@@ -193,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp = sub.add_parser("campaign", help="run a declarative experiment campaign")
     p_camp.add_argument("config", help="campaign JSON file")
     p_camp.add_argument("--out", help="output directory (overrides config)")
-    p_camp.add_argument("--workers", type=ascii_int, help=f"worker processes (or ${'{'}OFMON_WORKERS{'}'})")
+    p_camp.add_argument("--workers", type=ascii_int, help="worker processes (overrides config)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_gen = sub.add_parser("gen", help="generate or randomize a trace")

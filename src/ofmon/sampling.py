@@ -6,7 +6,8 @@ Three ways to pick which flows get mirrored to the controller:
   a flow is sampled iff its address suffix equals the drawn value.
 * port: one entry per protocol (TCP and UDP) matching the drawn port set(s);
   a flow is sampled iff its port (or port pair) was drawn.  A hardware
-  switch would pay one entry per drawn port, which RuleSet records.
+  switch would pay one entry per drawn port, which RuleSet reads off the
+  drawn sets.
 * hash: a select group splits flows between a controller-mirror bucket and a
   pass bucket in proportion to the bucket weights, keyed on the 5-tuple.
 
@@ -73,37 +74,53 @@ class SamplingConfig:
         object.__setattr__(self, "method", SamplingMethod(self.method))
         object.__setattr__(self, "mode", SamplingMode(self.mode))
 
-    def validate(self) -> None:
-        if self.mode is SamplingMode.SOURCE_ONLY and self.dst_size != 0:
-            raise ValueError("dst_size must be 0 in source-only mode")
-        if self.method is SamplingMethod.IP_SUFFIX:
-            if not (0 <= self.src_size <= 32 and 0 <= self.dst_size <= 32):
-                raise ValueError("suffix bit counts must lie in [0, 32]")
-        elif self.method is SamplingMethod.PORT_BASED:
-            if not (0 <= self.src_size <= PORT_SPACE and 0 <= self.dst_size <= PORT_SPACE):
-                raise ValueError(f"port counts must lie in [0, {PORT_SPACE}]")
-        else:
-            if self.sample_weight < 1 or self.drop_weight < 0:
-                raise ValueError("hash weights need sample_weight >= 1 and drop_weight >= 0")
-
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Generated table-0 block-2 content plus its exact sampling rate.
+    """Generated table-0 block-2 content.
 
     The port method generates one composite entry per protocol in both modes:
-    the drawn source set, plus the drawn destination set in pair mode.
-    entries_per_protocol is the flow-table cost a hardware switch would pay
-    per transport protocol: the drawn port count (or the two-stage sum
-    src+dst in pair mode, not the src x dst cross-product) for the port
-    method, otherwise just the number of generated entries.
+    the drawn source set, plus the drawn destination set in pair mode.  The
+    exact rate and the entry cost are read off these rules, never stored.
     """
 
     config: SamplingConfig
     flow_entries: tuple[FlowEntry, ...]
-    groups: tuple[GroupEntry, ...]
-    theoretical_rate: Fraction
-    entries_per_protocol: int
+    groups: tuple[GroupEntry, ...] = ()
+
+    @property
+    def theoretical_rate(self) -> Fraction:
+        """The exact sampling rate, read off the masks, port sets and bucket weights."""
+        if self.groups:
+            buckets = self.groups[0].buckets
+            mirror = sum(b.weight for b in buckets if _mirrors(b))
+            return Fraction(mirror, sum(b.weight for b in buckets))
+        match = self.flow_entries[0].match
+        if match.src_port_in is not None:
+            if match.dst_port_in is None:
+                return Fraction(len(match.src_port_in), PORT_SPACE)
+            return Fraction(
+                len(match.src_port_in) * len(match.dst_port_in), PORT_SPACE * PORT_SPACE
+            )
+        bits = 0
+        if match.src_ip is not None:
+            bits += match.src_ip_mask.bit_count()
+        if match.dst_ip is not None:
+            bits += match.dst_ip_mask.bit_count()
+        return Fraction(1, 1 << bits)
+
+    @property
+    def entries_per_protocol(self) -> int:
+        """The flow-table cost a hardware switch would pay per transport protocol.
+
+        For the port method that is one entry per drawn port: the two-stage
+        src-then-dst check costs src + dst in pair mode, not the src x dst
+        cross-product.  The other methods generate a single entry.
+        """
+        match = self.flow_entries[0].match
+        if match.src_port_in is None:
+            return 1
+        return len(match.src_port_in) + len(match.dst_port_in or ())
 
 
 def _mix64(key: FlowKey, seed: int) -> int:
@@ -153,17 +170,13 @@ def select_bucket(group: GroupEntry, key: FlowKey, seed: int) -> int:
     return len(buckets) - 1
 
 
-def gen_ip_suffix_rules(config: SamplingConfig) -> RuleSet:
-    """One wildcarded entry matching drawn low address bits.
-
-    Sampling rate 1 / 2^(src_size + dst_size); zero total bits degenerates to
-    rate 1 (match everything).
-    """
-    if config.method is not SamplingMethod.IP_SUFFIX:
-        raise ValueError(f"wrong method {config.method} for suffix rules")
-    config.validate()
+def _ip_suffix_rules(config: SamplingConfig) -> RuleSet:
+    """One wildcarded entry matching drawn low address bits; zero total bits
+    matches every flow."""
     bits_src = config.src_size
     bits_dst = config.dst_size
+    if not (0 <= bits_src <= 32 and 0 <= bits_dst <= 32):
+        raise ValueError("suffix bit counts must lie in [0, 32]")
     rng = random.Random(config.seed)
     fields: dict = {}
     if bits_src > 0:
@@ -177,36 +190,22 @@ def gen_ip_suffix_rules(config: SamplingConfig) -> RuleSet:
         priority=SAMPLING_PRIORITY,
         actions=_SAMPLE_THEN_FORWARD,
     )
-    return RuleSet(
-        config=config,
-        flow_entries=(entry,),
-        groups=(),
-        theoretical_rate=Fraction(1, 1 << (bits_src + bits_dst)),
-        entries_per_protocol=1,
-    )
+    return RuleSet(config, (entry,))
 
 
-def gen_port_rules(config: SamplingConfig) -> RuleSet:
+def _port_rules(config: SamplingConfig) -> RuleSet:
     """One composite entry per protocol (TCP and UDP) for src_size drawn
-    source ports, and in pair mode dst_size drawn destination ports too.
-
-    Source-only rate: src_size / 65535.  Pair rate: src*dst / 65535^2, with
-    the pair check modeled as the two-stage src-then-dst scheme whose
-    hardware cost is src_size + dst_size entries per protocol, not the
-    cross-product.
-    """
-    if config.method is not SamplingMethod.PORT_BASED:
-        raise ValueError(f"wrong method {config.method} for port rules")
-    config.validate()
+    source ports, and in pair mode dst_size drawn destination ports too."""
     m = config.src_size
     n = config.dst_size
+    if not (0 <= m <= PORT_SPACE and 0 <= n <= PORT_SPACE):
+        raise ValueError(f"port counts must lie in [0, {PORT_SPACE}]")
     pair = config.mode is SamplingMode.PAIR
     if m == 0 or (pair and n == 0):
         raise ValueError("port sampling needs at least one port on every matched side")
     rng = random.Random(config.seed)
     src_set = frozenset(rng.sample(range(1, PORT_SPACE + 1), m))
     dst_set = frozenset(rng.sample(range(1, PORT_SPACE + 1), n)) if pair else None
-    rate = Fraction(m * n, PORT_SPACE * PORT_SPACE) if pair else Fraction(m, PORT_SPACE)
     entries = tuple(
         FlowEntry(
             match=MatchFields(protocol=proto, src_port_in=src_set, dst_port_in=dst_set),
@@ -215,24 +214,17 @@ def gen_port_rules(config: SamplingConfig) -> RuleSet:
         )
         for proto in (Protocol.TCP, Protocol.UDP)  # same drawn sets for both
     )
-    return RuleSet(
-        config=config,
-        flow_entries=entries,
-        groups=(),
-        theoretical_rate=rate,
-        entries_per_protocol=m + n,
-    )
+    return RuleSet(config, entries)
 
 
-def gen_hash_rules(config: SamplingConfig) -> RuleSet:
+def _hash_rules(config: SamplingConfig) -> RuleSet:
     """All traffic through a select group: one mirror bucket, one pass bucket.
 
-    Rate sample_weight / (sample_weight + drop_weight).  The flow entry keeps
-    the forwarding goto itself; the group only decides the controller copy.
+    The flow entry keeps the forwarding goto itself; the group only decides
+    the controller copy.
     """
-    if config.method is not SamplingMethod.HASH_BASED:
-        raise ValueError(f"wrong method {config.method} for hash rules")
-    config.validate()
+    if config.sample_weight < 1 or config.drop_weight < 0:
+        raise ValueError("hash weights need sample_weight >= 1 and drop_weight >= 0")
     buckets = [Bucket(weight=config.sample_weight, actions=(OutputToController(),))]
     if config.drop_weight > 0:
         buckets.append(Bucket(weight=config.drop_weight, actions=(Drop(),)))
@@ -242,24 +234,20 @@ def gen_hash_rules(config: SamplingConfig) -> RuleSet:
         priority=SAMPLING_PRIORITY,
         actions=(Group(HASH_GROUP_ID), GotoTable()),
     )
-    return RuleSet(
-        config=config,
-        flow_entries=(entry,),
-        groups=(group,),
-        theoretical_rate=Fraction(config.sample_weight, config.sample_weight + config.drop_weight),
-        entries_per_protocol=1,
-    )
+    return RuleSet(config, (entry,), (group,))
 
 
 _GENERATORS = {
-    SamplingMethod.IP_SUFFIX: gen_ip_suffix_rules,
-    SamplingMethod.PORT_BASED: gen_port_rules,
-    SamplingMethod.HASH_BASED: gen_hash_rules,
+    SamplingMethod.IP_SUFFIX: _ip_suffix_rules,
+    SamplingMethod.PORT_BASED: _port_rules,
+    SamplingMethod.HASH_BASED: _hash_rules,
 }
 
 
 def generate_rules(config: SamplingConfig) -> RuleSet:
-    """Dispatch to the generator for config.method."""
+    """The rule set for config.method; each method checks its own parameters."""
+    if config.mode is SamplingMode.SOURCE_ONLY and config.dst_size != 0:
+        raise ValueError("dst_size must be 0 in source-only mode")
     return _GENERATORS[config.method](config)
 
 
@@ -296,33 +284,6 @@ def sampled_keys(rule_set: RuleSet, keys: Iterable[FlowKey]) -> list[FlowKey]:
     """The keys whose packets table 0 mirrors to the controller, in input order:
     the flows a replay of any trace with these keys samples."""
     return list(filter(key_sampler(rule_set), keys))
-
-
-def theoretical_rate(rule_set: RuleSet) -> Fraction:
-    """Recover the exact sampling rate from the generated rules themselves.
-
-    Deliberately ignores the stored rate and the config: the answer is read
-    off the masks, port sets and bucket weights, so tests can cross-check it
-    against the closed-form value.
-    """
-    if rule_set.groups:
-        group = rule_set.groups[0]
-        mirror = sum(b.weight for b in group.buckets if _mirrors(b))
-        total = sum(b.weight for b in group.buckets)
-        return Fraction(mirror, total)
-    match = rule_set.flow_entries[0].match
-    if match.src_port_in is not None:
-        if match.dst_port_in is None:
-            return Fraction(len(match.src_port_in), PORT_SPACE)
-        return Fraction(
-            len(match.src_port_in) * len(match.dst_port_in), PORT_SPACE * PORT_SPACE
-        )
-    bits = 0
-    if match.src_ip is not None:
-        bits += match.src_ip_mask.bit_count()
-    if match.dst_ip is not None:
-        bits += match.dst_ip_mask.bit_count()
-    return Fraction(1, 1 << bits)
 
 
 def config_for_rate(

@@ -39,7 +39,7 @@ from ofmon import (
     select_bucket,
 )
 from ofmon.campaign import load_campaign, run_campaign
-from ofmon.sampling import PORT_SPACE, gen_port_rules
+from ofmon.sampling import PORT_SPACE
 from ofmon.switch import (
     FLOW_RECORD_PRIORITY,
     FlowEntry,
@@ -131,10 +131,10 @@ def gappy_tcp_trace():
 
 def test_criterion_1_port_entry_arithmetic():
     with criterion(1, "port entry arithmetic"):
-        source = gen_port_rules(config_for_rate(
+        source = generate_rules(config_for_rate(
             SamplingMethod.PORT_BASED, SamplingMode.SOURCE_ONLY, Fraction(1, 200)))
         assert abs(source.entries_per_protocol - 328) <= 1
-        pair = gen_port_rules(config_for_rate(
+        pair = generate_rules(config_for_rate(
             SamplingMethod.PORT_BASED, SamplingMode.PAIR, Fraction(1, 200)))
         assert abs(pair.entries_per_protocol - 9268) <= 1
 

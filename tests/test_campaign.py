@@ -184,6 +184,8 @@ class TestLoadCampaign:
             ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": ["geometric"]}}}}, ()),
             ({"trace": {"synthetic": {"flows": 5, "sizes": {"kind": "pareto", "alpha": 10**400}}}},
              ()),
+            # a nanosecond count past the int-to-str digit limit
+            ({"overhead": {"delays_ms": [0, int("9" * 4299)]}}, ()),
         ],
     )
     def test_invalid_configs(self, tmp_path, overrides, drop):
@@ -224,6 +226,23 @@ class TestLoadCampaign:
         ({"timeouts": {"idle_ms": 100, "hard_ms": 50}}, (), "timeouts: "),
         ({"install_delay_ms": 1e308}, (), "install_delay_ms: 1e+308 ms is out of range"),
         ({"overhead": {"delays_ms": [0, 1e303]}}, (), "overhead/delays_ms/1: "),
+        # one past the largest millisecond count a signed 64-bit ns clock holds
+        ({"overhead": {"delays_ms": [0, 9_223_372_036_855]}}, (),
+         "overhead/delays_ms/1: 9223372036855 ms is out of range"),
+        ({"install_delay_ms": 9_223_372_036_855}, (),
+         "install_delay_ms: 9223372036855 ms is out of range"),
+        ({"timeouts": {"idle_ms": 9_223_372_036_855}}, (),
+         "timeouts/idle_ms: 9223372036855 ms is out of range"),
+        ({"timeouts": {"hard_ms": 9_223_372_036_855}}, (),
+         "timeouts/hard_ms: 9223372036855 ms is out of range"),
+        ({"trace": {"synthetic": {"flows": 5, "duration_ms": 9_223_372_036_855}}}, (),
+         "trace/synthetic/duration_ms: 9223372036855 ms is out of range"),
+        ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "exponential",
+                                                      "mean_ms": 9_223_372_036_855}}}}, (),
+         "trace/synthetic/gaps/mean_ms: 9223372036855 ms is out of range"),
+        ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "fixed",
+                                                      "gap_ms": 9_223_372_036_855}}}}, (),
+         "trace/synthetic/gaps/gap_ms: 9223372036855 ms is out of range"),
         ({"export": {"format": "xml"}}, (), "export/format: "),
         ({"output_dir": 3}, (), "output_dir: "),
         ({"randomize_keys_seed": "3"}, (), "randomize_keys_seed: "),
@@ -245,6 +264,8 @@ class TestLoadCampaign:
          ((SamplingMethod.PORT_BASED, SamplingMode.SOURCE_ONLY),)),
         ({"trace": {"synthetic": {"flows": 5, "duration_ms": 1e-6}}},
          lambda c: c.synthetic.duration_ns, 1),
+        ({"timeouts": {"idle_ms": 9_223_372_036_854}},
+         lambda c: c.controller.idle_timeout_ns, 9_223_372_036_854_000_000),
     ])
     def test_edge_values_load(self, tmp_path, overrides, read, expected):
         assert read(load_campaign(write_config(tmp_path, overrides))) == expected

@@ -15,11 +15,8 @@ from ofmon.sampling import (
     SamplingMode,
     config_for_rate,
     derive_seed,
-    gen_ip_suffix_rules,
-    gen_port_rules,
     generate_rules,
     select_bucket,
-    theoretical_rate,
 )
 from ofmon.switch import SAMPLING_PRIORITY, Bucket, Drop, GroupEntry, OutputToController
 
@@ -51,6 +48,10 @@ def closed_form(cfg):
     return Fraction(cfg.sample_weight, cfg.sample_weight + cfg.drop_weight)
 
 
+def closed_form_entries(cfg):
+    return cfg.src_size + cfg.dst_size if cfg.method is SamplingMethod.PORT_BASED else 1
+
+
 class TestClosedFormRates:
     @pytest.mark.parametrize(
         "cfg,rate",
@@ -71,11 +72,11 @@ class TestClosedFormRates:
         assert generate_rules(cfg).theoretical_rate == rate
 
     def test_port_entry_budget_for_one_in_two_hundred(self):
-        source = gen_port_rules(config_for_rate(
+        source = generate_rules(config_for_rate(
             SamplingMethod.PORT_BASED, SamplingMode.SOURCE_ONLY, Fraction(1, 200)))
         assert source.entries_per_protocol == 328
         assert len(source.flow_entries) == 2  # the drawn set, one entry per protocol
-        pair = gen_port_rules(config_for_rate(
+        pair = generate_rules(config_for_rate(
             SamplingMethod.PORT_BASED, SamplingMode.PAIR, Fraction(1, 200)))
         assert pair.entries_per_protocol == 9268
         assert len(pair.flow_entries) == 2  # folded into one predicate per protocol
@@ -101,14 +102,14 @@ class TestClosedFormRates:
                                  seed=seed)
         rules = generate_rules(cfg)
         assert rules.theoretical_rate == closed_form(cfg)
-        assert theoretical_rate(rules) == closed_form(cfg)
+        assert rules.entries_per_protocol == closed_form_entries(cfg)
 
 
 class TestIpSuffixRules:
     def test_masks_have_the_requested_bit_width(self):
         cfg = SamplingConfig(SamplingMethod.IP_SUFFIX, SamplingMode.PAIR,
                              src_size=6, dst_size=4, seed=3)
-        (e,) = gen_ip_suffix_rules(cfg).flow_entries
+        (e,) = generate_rules(cfg).flow_entries
         assert e.match.src_ip_mask == (1 << 6) - 1
         assert e.match.dst_ip_mask == (1 << 4) - 1
         assert 0 <= e.match.src_ip <= e.match.src_ip_mask
@@ -117,18 +118,18 @@ class TestIpSuffixRules:
 
     def test_matched_fraction_is_the_rate(self):
         cfg = SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=4, seed=5)
-        (e,) = gen_ip_suffix_rules(cfg).flow_entries
+        (e,) = generate_rules(cfg).flow_entries
         hits = sum(1 for ip in range(4096) if (ip & 0xF) == e.match.src_ip)
         assert hits == 4096 // 16
 
     def test_draw_is_seeded(self):
-        a = gen_ip_suffix_rules(SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=8, seed=1))
-        b = gen_ip_suffix_rules(SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=8, seed=1))
-        c = gen_ip_suffix_rules(SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=8, seed=2))
+        a = generate_rules(SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=8, seed=1))
+        b = generate_rules(SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=8, seed=1))
+        c = generate_rules(SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=8, seed=2))
         assert a.flow_entries == b.flow_entries
         values = {
-            gen_ip_suffix_rules(SamplingConfig(SamplingMethod.IP_SUFFIX,
-                                               src_size=8, seed=s)).flow_entries[0].match.src_ip
+            generate_rules(SamplingConfig(SamplingMethod.IP_SUFFIX,
+                                          src_size=8, seed=s)).flow_entries[0].match.src_ip
             for s in range(20)
         }
         assert len(values) > 1
@@ -136,7 +137,7 @@ class TestIpSuffixRules:
 
     def test_zero_bits_means_rate_one(self):
         cfg = SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=0)
-        rules = gen_ip_suffix_rules(cfg)
+        rules = generate_rules(cfg)
         assert rules.theoretical_rate == 1
 
     def test_rejects_out_of_range_bits(self):
@@ -147,7 +148,7 @@ class TestIpSuffixRules:
 class TestPortRules:
     def test_source_mode_shares_ports_across_protocols(self):
         cfg = SamplingConfig(SamplingMethod.PORT_BASED, src_size=50, seed=9)
-        rules = gen_port_rules(cfg)
+        rules = generate_rules(cfg)
         (tcp,) = [e.match.src_port_in for e in rules.flow_entries
                   if e.match.protocol is Protocol.TCP]
         (udp,) = [e.match.src_port_in for e in rules.flow_entries
@@ -159,7 +160,7 @@ class TestPortRules:
     def test_pair_mode_builds_one_predicate_per_protocol(self):
         cfg = SamplingConfig(SamplingMethod.PORT_BASED, SamplingMode.PAIR,
                              src_size=30, dst_size=20, seed=9)
-        rules = gen_port_rules(cfg)
+        rules = generate_rules(cfg)
         assert len(rules.flow_entries) == 2
         for e in rules.flow_entries:
             assert len(e.match.src_port_in) == 30
@@ -168,10 +169,28 @@ class TestPortRules:
 
     def test_zero_ports_is_rejected(self):
         with pytest.raises(ValueError):
-            gen_port_rules(SamplingConfig(SamplingMethod.PORT_BASED, src_size=0))
+            generate_rules(SamplingConfig(SamplingMethod.PORT_BASED, src_size=0))
         with pytest.raises(ValueError):
-            gen_port_rules(SamplingConfig(SamplingMethod.PORT_BASED, SamplingMode.PAIR,
-                                          src_size=10, dst_size=0))
+            generate_rules(SamplingConfig(SamplingMethod.PORT_BASED, SamplingMode.PAIR,
+                                      src_size=10, dst_size=0))
+
+
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        (SamplingConfig(SamplingMethod.PORT_BASED, src_size=PORT_SPACE + 1),
+         "port counts must lie in"),
+        (SamplingConfig(SamplingMethod.PORT_BASED, SamplingMode.PAIR,
+                        src_size=1, dst_size=PORT_SPACE + 1), "port counts must lie in"),
+        (SamplingConfig(SamplingMethod.HASH_BASED, sample_weight=0, drop_weight=1),
+         "hash weights need"),
+        *[(SamplingConfig(method, src_size=1, dst_size=1), "dst_size must be 0")
+          for method in SamplingMethod],
+    ],
+)
+def test_rejects_parameters_out_of_bounds(cfg, message):
+    with pytest.raises(ValueError, match=message):
+        generate_rules(cfg)
 
 
 class TestBucketSelection:
@@ -248,9 +267,7 @@ class TestRateSolver:
             for p in range(1, q + 1):
                 cfg = config_for_rate(SamplingMethod.HASH_BASED, SamplingMode.SOURCE_ONLY,
                                       Fraction(p, q))
-                rules = generate_rules(cfg)
-                assert rules.theoretical_rate == Fraction(p, q), (p, q)
-                assert theoretical_rate(rules) == Fraction(p, q), (p, q)  # read off the buckets
+                assert generate_rules(cfg).theoretical_rate == Fraction(p, q), (p, q)
 
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 2), Fraction(3, 2)])
     def test_rejects_rates_outside_unit_interval(self, bad):
