@@ -23,7 +23,14 @@ from .evaluation import (
     run_wmrd_experiment,
 )
 from .model import ascii_number, flow_sizes
-from .sampling import SamplingMethod, SamplingMode, config_for_rate, derive_seed, generate_rules
+from .sampling import (
+    SamplingMethod,
+    SamplingMode,
+    check_seed,
+    config_for_rate,
+    derive_seed,
+    generate_rules,
+)
 from .simulate import replay_flows
 from .traceio import (
     ExponentialGap,
@@ -112,6 +119,13 @@ def _integer(value, where: str, minimum=None) -> int:
     if type(value) is not int:  # neither true nor 2.0
         raise _invalid(where, f"{value!r} is not an integer")
     return _number(value, where, minimum)
+
+
+def _seed(value, where: str) -> int:
+    try:
+        return check_seed(_integer(value, where))
+    except ValueError as exc:
+        raise _invalid(where, str(exc)) from exc
 
 
 _NS_LIMIT = 1 << 63  # the range of a signed 64-bit nanosecond clock
@@ -213,7 +227,7 @@ _SYNTHETIC = {
     "tcp_fraction": ("tcp_fraction", partial(_number, minimum=0, maximum=1)),
     "gaps": ("gap", partial(_distribution, kinds=_GAPS)),
     "duration_ms": ("duration_ns", partial(_ms_to_ns, above=0)),
-    "seed": ("seed", _integer),
+    "seed": ("seed", _seed),
 }
 _TIMEOUTS = {
     "idle_ms": ("idle_timeout_ns", partial(_ms_to_ns, above=0)),
@@ -327,10 +341,10 @@ def load_campaign(path: str) -> CampaignConfig:
                        f" but {len(sampling)} sampling entries are given")
     export = _object(raw.get("export", {}), "export", ("rate", "format"))
     return CampaignConfig(
-        seed=_integer(raw["seed"], "seed"),
+        seed=_seed(raw["seed"], "seed"),
         trace_path=trace_path,
         synthetic=synthetic,
-        randomize_keys_seed=(_integer(raw["randomize_keys_seed"], "randomize_keys_seed")
+        randomize_keys_seed=(_seed(raw["randomize_keys_seed"], "randomize_keys_seed")
                              if "randomize_keys_seed" in raw else None),
         sampling=tuple(sampling),
         rates=rates,

@@ -20,7 +20,7 @@ from .campaign import (
 )
 from .controller import ControllerConfig, export_records
 from .model import ascii_int, ascii_number, flow_sizes
-from .sampling import SamplingMethod, SamplingMode, config_for_rate, generate_rules
+from .sampling import SamplingMethod, SamplingMode, check_seed, config_for_rate, generate_rules
 from .simulate import replay_flows
 from .traceio import (
     ExponentialGap,
@@ -115,15 +115,16 @@ def _set_flags(obj, *flags):
 def cmd_gen_trace(args: argparse.Namespace) -> int:
     """Generate a synthetic trace, or randomize the keys of an existing one."""
     _check_output_file("-o", args.out)
+    seed = parse_at("--seed", check_seed, args.seed)
     if args.randomize:
         if not os.path.isfile(args.randomize):
             raise ConfigError(f"trace not found: {args.randomize}")
-        packets = randomize_trace(read_csv_trace(args.randomize), args.seed)
+        packets = randomize_trace(read_csv_trace(args.randomize), seed)
     else:
         if args.flows is None:
             raise ConfigError("either --flows or --randomize is required")
         spec = _set_flags(
-            parse_at("--flows", lambda n: SyntheticSpec(flow_count=n, seed=args.seed), args.flows),
+            parse_at("--flows", lambda n: SyntheticSpec(flow_count=n, seed=seed), args.flows),
             ("--sizes", "size_distribution", _parse_sizes, args.sizes),
             ("--ips", "ip_mode", _parse_keymode, args.ips),
             ("--ports", "port_mode", _parse_keymode, args.ports),
@@ -145,7 +146,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"trace not found: {args.trace}")
     _check_output_file("--out", args.out)
     target = parse_at("--rate", parse_rate, args.rate)
-    sampling = config_for_rate(args.method, args.mode, target, args.seed)
+    seed = parse_at("--seed", check_seed, args.seed)
+    sampling = config_for_rate(args.method, args.mode, target, seed)
     # idle before hard: the default hard timeout 0 fits any idle timeout
     controller = _set_flags(
         ControllerConfig(),

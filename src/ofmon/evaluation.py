@@ -5,7 +5,9 @@ reproducible to the byte.  The rate and WMRD experiments take the trace's
 per-flow packet counts (`model.flow_sizes`), built once by the caller, and
 read each trial's sampled flows off its rule set: sampling decides per
 5-tuple, and counter conservation puts every packet of a sampled flow in its
-merged records, so this equals a full replay.  The overhead experiment
+merged records, so this equals a full replay.  An ip-suffix or port cell
+groups the flow table once by the fields its match reads, so a trial costs
+what it samples, not the flow count.  The overhead experiment
 depends on install delay and timeouts; it replays the trace one flow at a
 time (`simulate.replay_flows`), which equals a packet-level replay because
 a record entry only ever sees its own flow.  Statistics stay in the standard
@@ -13,7 +15,7 @@ library; rates stay exact fractions.
 """
 
 import statistics
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -21,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 from .controller import ControllerConfig
 from .model import FlowKey, PacketRecord, Protocol
 from .sampling import (
+    RuleSet,
     SamplingConfig,
     SamplingMethod,
     SamplingMode,
@@ -93,6 +96,49 @@ class RateTrialSummary:
     p95: float
 
 
+def _cell_sampler(
+    sizes: Counter[FlowKey], base: SamplingConfig
+) -> Callable[[RuleSet], list[int]]:
+    """The packet counts of the flows a rule set of this cell samples, in any
+    order, as a list the caller must not change.
+
+    Every trial of a cell draws the same kind of match, so the flow table is
+    grouped once by the fields it reads: the masked address pair for
+    ip-suffix, the source port for port.  A trial then looks up its drawn
+    suffixes, or the source ports it drew, and in pair mode keeps the flows
+    whose destination port it drew too.  Both protocols have a port entry
+    with the same sets, so protocol is not a key.  Hash keeps `sampled_keys`.
+    """
+    if base.method is SamplingMethod.IP_SUFFIX:
+        src_mask = (1 << base.src_size) - 1
+        dst_mask = (1 << base.dst_size) - 1
+        by_suffix: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+        for key, size in sizes.items():
+            by_suffix[key.src_ip & src_mask, key.dst_ip & dst_mask].append(size)
+
+        def sampled(rules: RuleSet) -> list[int]:
+            match = rules.flow_entries[0].match  # an absent address matches any
+            return by_suffix.get(
+                ((match.src_ip or 0) & src_mask, (match.dst_ip or 0) & dst_mask), [])
+
+        return sampled
+    if base.method is SamplingMethod.PORT_BASED:
+        by_src_port: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for key, size in sizes.items():
+            by_src_port[key.src_port].append((key.dst_port, size))
+
+        def sampled(rules: RuleSet) -> list[int]:
+            match = rules.flow_entries[0].match
+            hits = by_src_port.keys() & match.src_port_in
+            dst = match.dst_port_in
+            if dst is None:
+                return [size for port in hits for _, size in by_src_port[port]]
+            return [size for port in hits for d, size in by_src_port[port] if d in dst]
+
+        return sampled
+    return lambda rules: [sizes[k] for k in sampled_keys(rules, sizes)]
+
+
 def _run_trials(
     sizes: Counter[FlowKey],
     method: SamplingMethod,
@@ -119,10 +165,11 @@ def _run_trials(
     if method is SamplingMethod.HASH_BASED:
         trials = 1
     base = config_for_rate(method, mode, target_rate)
+    sampled = _cell_sampler(sizes, base)
     values = []
     for trial in range(trials):
         rules = generate_rules(replace(base, seed=derive_seed(seed, trial)))
-        values.append(metric([sizes[k] for k in sampled_keys(rules, sizes)]))
+        values.append(metric(sampled(rules)))
     # the realized rate is the same for every seed
     return method, mode, rules.theoretical_rate, values
 

@@ -15,10 +15,13 @@ Rates are carried as exact fractions, never floats.
 """
 
 import enum
+import functools
 import hashlib
 import math
 import random
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -37,6 +40,7 @@ from .switch import (
 )
 
 PORT_SPACE = 65535  # sampled ports are drawn from 1..65535; 0 is reserved
+SEED_LIMIT = 1 << 64  # derive_seed and the hash key read a seed's low 64 bits
 HASH_GROUP_ID = 1
 _SAMPLE_THEN_FORWARD = (OutputToController(), GotoTable())
 
@@ -137,6 +141,17 @@ def _mix64(key: FlowKey, seed: int) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
+def check_seed(seed: int) -> int:
+    """`seed` if it lies in [0, 2**64): the seeds a user can give.
+
+    random.Random keys on |seed| and derive_seed on the low 64 bits, so any
+    other seed would run as some seed in range.
+    """
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
 def derive_seed(master: int, *parts: int | str) -> int:
     """Counter-based seed split: independent streams per (master, parts)."""
     h = hashlib.blake2b(digest_size=8)
@@ -193,6 +208,80 @@ def _ip_suffix_rules(config: SamplingConfig) -> RuleSet:
     return RuleSet(config, (entry,))
 
 
+def _high_halves(rng: random.Random, words: int) -> array:
+    """The high 16 bits of rng's next `words` 32-bit outputs, in draw order.
+
+    getrandbits(32 * words) fills its result from the least significant
+    32 bits up, one Mersenne Twister output each, and getrandbits(b) for
+    b <= 16 is the next output's high 16 bits shifted right by 16 - b.
+    """
+    halves = array("H", rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
+    if sys.byteorder == "big":
+        halves.byteswap()
+    return halves[1::2]
+
+
+@functools.cache
+def _port_pool() -> tuple[int, ...]:
+    """The sampled port space, built on first use: a module-level copy would
+    cost every process that never draws a port set about 2 MB."""
+    return tuple(range(1, PORT_SPACE + 1))
+
+
+def _sample_ports(rng: random.Random, k: int) -> frozenset[int]:
+    """frozenset(rng.sample(range(1, PORT_SPACE + 1), k)) for 1 <= k <= PORT_SPACE,
+    with rng left in the same state.
+
+    random.sample draws each index with randbelow(bound): getrandbits of the
+    bound's bit length, redrawn while it is not below the bound, one output
+    per try.  This replays that on outputs drawn in bulk, then rewinds rng
+    and consumes exactly the outputs random.sample used.
+    """
+    n = PORT_SPACE
+    state = rng.getstate()
+    setsize = 21  # random.sample's choice between its two methods, made as it makes it
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        # pool method: step i swaps the index drawn below bound n - i to the pool's end
+        pool = list(_port_pool())
+        last, stop, used = n - 1, n - k - 1, 0
+        words = iter(())
+        while last > stop:
+            bits = (last + 1).bit_length()
+            end = max(stop, (1 << (bits - 1)) - 2)  # the bound keeps its bit length down to here
+            shift = 16 - bits
+            start, rejected = last, 0
+            for h in words:
+                j = h >> shift
+                if j > last:
+                    rejected += 1
+                else:
+                    pool[j], pool[last] = pool[last], pool[j]
+                    last -= 1
+                    if last == end:
+                        break
+            else:
+                words = iter(_high_halves(rng, 2 * (last - end) + 32))
+            used += start - last + rejected
+        drawn = frozenset(pool[n - k:])
+    else:
+        # set method: the first k distinct indices, n itself rejected
+        halves = array("H")
+        while True:
+            halves += _high_halves(rng, k + k // 8 + 32)
+            distinct = dict.fromkeys(halves)
+            distinct.pop(n, None)
+            if len(distinct) >= k:
+                break
+        indices = list(distinct)[:k]
+        used = halves.index(indices[-1]) + 1
+        drawn = frozenset(map((1).__add__, indices))
+    rng.setstate(state)
+    rng.getrandbits(32 * used)
+    return drawn
+
+
 def _port_rules(config: SamplingConfig) -> RuleSet:
     """One composite entry per protocol (TCP and UDP) for src_size drawn
     source ports, and in pair mode dst_size drawn destination ports too."""
@@ -204,8 +293,8 @@ def _port_rules(config: SamplingConfig) -> RuleSet:
     if m == 0 or (pair and n == 0):
         raise ValueError("port sampling needs at least one port on every matched side")
     rng = random.Random(config.seed)
-    src_set = frozenset(rng.sample(range(1, PORT_SPACE + 1), m))
-    dst_set = frozenset(rng.sample(range(1, PORT_SPACE + 1), n)) if pair else None
+    src_set = _sample_ports(rng, m)
+    dst_set = _sample_ports(rng, n) if pair else None
     entries = tuple(
         FlowEntry(
             match=MatchFields(protocol=proto, src_port_in=src_set, dst_port_in=dst_set),

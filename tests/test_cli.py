@@ -399,6 +399,50 @@ def reals(*ranges):
     return st.one_of(*(st.floats(lo, hi) for lo, hi in ranges)).flatmap(lambda x: spelled(repr(x)))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+class TestSeedsOutOfRange:
+    """A seed outside [0, 2**64) would run as some seed inside it, so every
+    entry point rejects it before the work, exits 2 and names where it was given."""
+
+    def test_simulate(self, tmp_path, capsys, seed):
+        trace, out = tmp_path / "t.csv", tmp_path / "r.jsonl"
+        write_csv_trace(random_trace(5, seed=1), str(trace))
+        assert main(["simulate", "--trace", str(trace), "--method", "port", "--rate", "1/4",
+                     "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flows", "randomize"])
+    def test_gen(self, tmp_path, capsys, seed, source):
+        trace, out = tmp_path / "t.csv", tmp_path / "g.csv"
+        write_csv_trace(random_trace(5, seed=1), str(trace))
+        given = ["--flows", "5"] if source == "flows" else ["--randomize", str(trace)]
+        assert main(["gen", *given, "--seed", str(seed), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["seed", "trace/synthetic/seed", "randomize_keys_seed"])
+    def test_campaign(self, tmp_path, capsys, seed, where):
+        cfg = {
+            "seed": 3,
+            "trace": {"synthetic": {"flows": 10, "seed": 2}},
+            "sampling": [{"method": "port"}],
+            "rates": ["1/4"],
+            "trials": 1,
+            "experiments": ["rate"],
+        }
+        *parents, leaf = where.split("/")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[leaf] = seed
+        path, out = tmp_path / "c.json", tmp_path / "results"
+        path.write_text(json.dumps(cfg))
+        assert main(["campaign", str(path), "--out", str(out)]) == 2
+        assert f"invalid at {where}: seed {seed} is outside" in capsys.readouterr().err
+        assert not out.exists()
+
+
 durations = st.tuples(
     st.integers(0, 10**4), st.sampled_from(["", ".5", ".25"]),
     st.sampled_from(["", "ns", "us", "ms", "s", "m", "h"]),

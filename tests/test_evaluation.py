@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ofmon.controller import ControllerConfig
 from ofmon.evaluation import (
+    _run_trials,
     compute_fsd,
     run_overhead_experiment,
     run_rate_experiment,
@@ -264,6 +265,55 @@ def test_sampled_flows_equal_those_of_a_full_replay(data):
         assert len(sampled) == result.flows_sampled
         assert Counter(sizes[k] for k in sampled) == compute_fsd(
             merged_sizes(result.records).values())
+
+
+# 2**-64 is an ip-suffix pair of 64 bits, and rate 1 draws every port and no
+# address; cheap draws come first, so a failing example shrinks quickly
+INDEX_RATES = [Fraction(1, 2**64), Fraction(1, 16), Fraction(3, 7), Fraction(1, 2), Fraction(1)]
+# addresses that share their low bits at every suffix width up to 4, and few ports
+shared_addresses = st.builds(
+    lambda high, low: high << 4 | low,
+    st.sampled_from([0, 0x0A00000, 0xC0A8000, 0xFFFFFFF]),
+    st.integers(0, 15),
+)
+shared_ports = st.sampled_from([0, 1, 2, 80, 443, 65535])
+
+
+def planted_key(draw, rules):
+    """A flow the rules of one trial sample: its drawn suffixes, or drawn ports;
+    any flow, for hash."""
+    match = rules.flow_entries[0].match
+
+    def address(value, mask):
+        other = draw(shared_addresses)
+        return other if value is None else other & ~mask | value
+
+    def port(drawn):
+        return draw(shared_ports) if drawn is None else draw(st.sampled_from(sorted(drawn)))
+
+    return FlowKey(address(match.src_ip, match.src_ip_mask),
+                   address(match.dst_ip, match.dst_ip_mask),
+                   port(match.src_port_in), port(match.dst_port_in),
+                   draw(st.sampled_from([Protocol.TCP, Protocol.UDP])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cell_index_samples_what_sampled_keys_does(data):
+    method, mode = data.draw(st.sampled_from(CELLS), label="cell")
+    rate = data.draw(st.sampled_from(INDEX_RATES), label="rate")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    base = config_for_rate(method, mode, rate)
+    rule_sets = [generate_rules(replace(base, seed=derive_seed(seed, trial))) for trial in range(3)]
+    keys = data.draw(st.lists(
+        st.builds(FlowKey, shared_addresses, shared_addresses, shared_ports, shared_ports,
+                  st.sampled_from([Protocol.TCP, Protocol.UDP])),
+        max_size=30), label="keys")
+    keys += [planted_key(data.draw, rules) for rules in rule_sets]
+    sizes = Counter({key: data.draw(st.integers(1, 5)) for key in keys})
+    *_, got = _run_trials(sizes, method, mode, rate, 3, seed, sorted)
+    assert got == [sorted(sizes[k] for k in sampled_keys(rules, sizes))
+                   for rules in rule_sets[:len(got)]]
 
 
 REPLAY_RATES = [Fraction(1), Fraction(1, 2), Fraction(3, 7)]

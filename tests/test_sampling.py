@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofmon.model import FlowKey, Protocol
 from ofmon.sampling import (
     PORT_SPACE,
+    SEED_LIMIT,
     SamplingConfig,
     SamplingMethod,
     SamplingMode,
     config_for_rate,
+    _sample_ports,
+    check_seed,
     derive_seed,
     generate_rules,
     select_bucket,
@@ -175,6 +178,30 @@ class TestPortRules:
                                       src_size=10, dst_size=0))
 
 
+# random.sample switches from its set method to its pool method at k = 5462
+# for 65,535 ports, and a pool bound's bit length drops below 16 after 32,768
+# draws; the largest k leaves the pool with one port.
+DRAW_EDGES = [1, 5, 6, 5461, 5462, 32767, 32768, 32769, 65534, 65535]
+
+
+def _with_edge_examples(test):
+    for k in DRAW_EDGES:
+        test = example(seed=k, k=k)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, SEED_LIMIT - 1), k=st.integers(1, PORT_SPACE))
+@_with_edge_examples
+def test_port_draw_equals_random_sample(seed, k):
+    """The bulk draw against random.sample itself, twice from one generator
+    as pair mode draws, and the generator state it leaves behind."""
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        assert _sample_ports(ours, k) == frozenset(reference.sample(range(1, PORT_SPACE + 1), k))
+    assert ours.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize(
     "cfg,message",
     [
@@ -332,3 +359,12 @@ class TestSeedDerivation:
     def test_streams_do_not_collide_over_many_trials(self):
         seeds = {derive_seed(99, trial) for trial in range(10_000)}
         assert len(seeds) == 10_000
+
+    @pytest.mark.parametrize("seed", [0, 1, SEED_LIMIT - 1])
+    def test_a_seed_in_range_is_kept(self, seed):
+        assert check_seed(seed) == seed
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT, -(2**70), 2**70])
+    def test_a_seed_out_of_range_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            check_seed(seed)
