@@ -12,9 +12,9 @@ merge's one rule; the per-flow replay applies it too.
 """
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import (
     ExpiryReason,
@@ -53,6 +53,11 @@ _REASON_MAP = {
     FlowRemovedReason.HARD: ExpiryReason.HARD_TIMEOUT,
     FlowRemovedReason.DELETE: ExpiryReason.END_OF_TRACE,
 }
+
+
+_PROTOCOL_NAMES = {protocol: protocol.name for protocol in Protocol}
+_WIRE_REASONS = {reason: reason.value for reason in ExpiryReason}
+_EXPORT_ORDER = itemgetter(1, 0)  # (first_seen_ns, key)
 
 
 class ControllerStateError(Exception):
@@ -95,13 +100,13 @@ def merge_record(
     """A flow's record: the controller's view plus its entry's counters.  The
     flow was last seen at the entry's last match, if the entry matched."""
     return FlowRecord(
-        key=key,
-        first_seen_ns=view.first_seen_ns,
-        last_seen_ns=last_match_ns if entry_packets else view.last_seen_ns,
-        packet_count=entry_packets + view.packets,
-        byte_count=entry_bytes + view.bytes,
-        controller_packet_count=view.packets,
-        expiry_reason=_REASON_MAP[reason],
+        key,
+        view.first_seen_ns,
+        last_match_ns if entry_packets else view.last_seen_ns,
+        entry_packets + view.packets,
+        entry_bytes + view.bytes,
+        view.packets,
+        _REASON_MAP[reason],
     )
 
 
@@ -219,14 +224,25 @@ def record_to_dict(record: FlowRecord) -> dict:
 
 
 def export_records(records: list[FlowRecord], sink, fmt: str = "jsonl") -> int:
-    """Write records ordered by (first_seen, key); returns how many."""
+    """Write records ordered by (first_seen, key); returns how many.
+
+    A jsonl line is `json.dumps(record_to_dict(r), separators=(",", ":"))`,
+    written out directly: every value is an int or an ASCII string that
+    needs no escape.
+    """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown export format {fmt!r}")
-    ordered = sorted(records, key=lambda r: (r.first_seen_ns, r.key))
+    ordered = sorted(records, key=_EXPORT_ORDER)
     if fmt == "jsonl":
-        for record in ordered:
-            sink.write(json.dumps(record_to_dict(record), separators=(",", ":")))
-            sink.write("\n")
+        names, wire = _PROTOCOL_NAMES, _WIRE_REASONS
+        sink.writelines(
+            f'{{"src_ip":"{format_ip(src)}","dst_ip":"{format_ip(dst)}",'
+            f'"src_port":{sport},"dst_port":{dport},"protocol":"{names[proto]}",'
+            f'"first_seen_ns":{first},"last_seen_ns":{last},"packets":{packets},'
+            f'"bytes":{nbytes},"controller_packets":{seen},"expiry":"{wire[reason]}"}}\n'
+            for (src, dst, sport, dport, proto), first, last, packets, nbytes, seen, reason
+            in ordered
+        )
     else:
         writer = csv.DictWriter(sink, fieldnames=EXPORT_FIELDS, lineterminator="\n")
         writer.writeheader()

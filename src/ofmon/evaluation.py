@@ -7,11 +7,14 @@ read each trial's sampled flows off its rule set: sampling decides per
 5-tuple, and counter conservation puts every packet of a sampled flow in its
 merged records, so this equals a full replay.  An ip-suffix or port cell
 groups the flow table once by the fields its match reads, so a trial costs
-what it samples, not the flow count.  The overhead experiment
-depends on install delay and timeouts; it replays the trace one flow at a
-time (`simulate.replay_flows`), which equals a packet-level replay because
-a record entry only ever sees its own flow.  Statistics stay in the standard
-library; rates stay exact fractions.
+what it samples, not the flow count.  The overhead experiment depends on
+install delay and timeouts.  It groups the trace's sampled flows once
+(`simulate.sample_flows`) and walks them once per delay
+(`simulate.replay_sampled`), which equals a packet-level replay because a
+record entry only ever sees its own flow.  The flow and byte totals it
+reports per protocol are the same at every delay, so they are read off the
+groups once.  Statistics stay in the standard library; rates stay exact
+fractions.
 """
 
 import statistics
@@ -32,7 +35,7 @@ from .sampling import (
     generate_rules,
     sampled_keys,
 )
-from .simulate import replay_flows
+from .simulate import replay_sampled, sample_flows
 
 
 def compute_fsd(sizes: Iterable[int]) -> Counter:
@@ -278,18 +281,17 @@ def run_overhead_experiment(
     """
     cfg = sampling or SamplingConfig(method=SamplingMethod.IP_SUFFIX)
     cc = controller_config or ControllerConfig()
-    rules = generate_rules(cfg)
+    sampled = sample_flows(trace, generate_rules(cfg))
+    # counter conservation: a sampled flow's records hold its every packet,
+    # whatever the delay
+    flows_by_proto: Counter = Counter()
+    bytes_by_proto: Counter = Counter()
+    for key, packets in sampled.flows.items():
+        flows_by_proto[key.protocol] += 1
+        bytes_by_proto[key.protocol] += sum(packets[1::2])
     points = []
     for delay in delays_ns:
-        result = replay_flows(trace, rules, replace(cc, install_delay_ns=delay))
-        flows_by_proto: Counter = Counter()
-        bytes_by_proto: Counter = Counter()
-        seen = set()
-        for record in result.records:
-            if record.key not in seen:
-                seen.add(record.key)
-                flows_by_proto[record.key.protocol] += 1
-            bytes_by_proto[record.key.protocol] += record.byte_count
+        result = replay_sampled(sampled, replace(cc, install_delay_ns=delay))
         for protocol in (Protocol.TCP, Protocol.UDP):
             flows = flows_by_proto[protocol]
             red_packets = result.redundant_packets_by_protocol[protocol]

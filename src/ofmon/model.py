@@ -2,8 +2,9 @@
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+SEED_LIMIT = 1 << 64  # derive_seed and the hash key read a seed's low 64 bits
 
 
 class Protocol(enum.IntEnum):
@@ -53,8 +54,7 @@ def flow_sizes(packets: Iterable[PacketRecord]) -> Counter[FlowKey]:
     return Counter(map(flow_key_of, packets))
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """Accumulated statistics for one monitored flow, NetFlow-record style.
 
     packet_count/byte_count are merged totals: the switch entry's counters
@@ -70,6 +70,17 @@ class FlowRecord:
     byte_count: int
     controller_packet_count: int
     expiry_reason: ExpiryReason
+
+
+def check_seed(seed: int) -> int:
+    """`seed` if it lies in [0, 2**64): the seeds a user can give.
+
+    random.Random keys on |seed| and derive_seed on the low 64 bits, so any
+    other seed would run as some seed in range.
+    """
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
 
 
 # Octet spellings: "0".."255" and nothing else.  ipaddress accepts exactly

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .model import FlowKey, Protocol
+from .model import FlowKey, Protocol, check_seed
 from .switch import (
     Bucket,
     Drop,
@@ -40,7 +40,6 @@ from .switch import (
 )
 
 PORT_SPACE = 65535  # sampled ports are drawn from 1..65535; 0 is reserved
-SEED_LIMIT = 1 << 64  # derive_seed and the hash key read a seed's low 64 bits
 HASH_GROUP_ID = 1
 _SAMPLE_THEN_FORWARD = (OutputToController(), GotoTable())
 
@@ -77,6 +76,7 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", SamplingMethod(self.method))
         object.__setattr__(self, "mode", SamplingMode(self.mode))
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,6 @@ def _mix64(key: FlowKey, seed: int) -> int:
         seed & 0xFFFFFFFFFFFFFFFF,
     )
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-
-
-def check_seed(seed: int) -> int:
-    """`seed` if it lies in [0, 2**64): the seeds a user can give.
-
-    random.Random keys on |seed| and derive_seed on the low 64 bits, so any
-    other seed would run as some seed in range.
-    """
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return seed
 
 
 def derive_seed(master: int, *parts: int | str) -> int:

@@ -13,16 +13,20 @@ entry is an exact 5-tuple match above every sampling entry, so it only ever
 sees its own flow's packets, and its expiry instant is exact however lazily
 it is evicted.  Each flow's records and redundant PacketIns therefore follow
 from its own packets, whether it is sampled, the controller config and the
-trace's last timestamp.  It closes records with the packet-level path's own
-two rules: `switch.expiry_of` says when an entry goes and why, and
-`controller.merge_record` what its record holds.  Identical (trace, config,
-seed) input replays to identical output, always.
+trace's last timestamp.  So the replay runs in two passes: `sample_flows`
+streams the trace once and groups the packets of each sampled flow, and
+`replay_sampled` walks those groups one flow at a time; a sweep over
+controller configs groups once and walks once per config.  The walk closes
+records with the packet-level path's own two rules: `switch.expiry_of` says
+when an entry goes and why, and `controller.merge_record` what its record
+holds.  Identical (trace, config, seed) input replays to identical output,
+always.
 """
 
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .controller import (
     ControllerConfig, FlowView, MonitoringController, ScheduledFlowMod, merge_record
@@ -134,16 +138,125 @@ def replay(
     return Simulation(sampling, controller_config).run(trace)
 
 
-@dataclass(slots=True)
-class _Flow(FlowView):
-    """A sampled flow's open record: what the controller saw of it since
-    first_seen_ns, and the record entry it asked for then, live from
-    install_ns on."""
+class SampledFlows(NamedTuple):
+    """A trace grouped by sampled flow: what `replay_sampled` walks.
 
-    install_ns: int
-    last_match_ns: int
-    entry_packets: int
-    entry_bytes: int
+    `flows` maps each sampled key, in first-seen order, to its packets as
+    one flat list: [timestamp_ns, length_bytes, timestamp_ns, ...].
+    """
+
+    flows: dict[FlowKey, list[int]]
+    flows_seen: int
+    last_ns: int  # the last packet's timestamp; 0 for an empty trace
+    last_key: FlowKey | None  # the last packet's key
+
+
+def sample_flows(trace: Iterable[PacketRecord], rule_set: RuleSet) -> SampledFlows:
+    """Stream the trace once, in timestamp order, deciding sampling at each
+    key's first packet and keeping the packets of the sampled keys."""
+    is_sampled = key_sampler(rule_set)
+    groups: dict[FlowKey, list[int] | bool] = {}  # every key seen; False when not sampled
+    ts = 0  # the switch clock starts at 0 too
+    key = None
+    for now, key, length in trace:
+        if now < ts:
+            raise ValueError(f"packet timestamp {now} behind the previous one, {ts}")
+        ts = now
+        packets = groups.get(key)
+        if packets:
+            packets += now, length
+        elif packets is None:
+            groups[key] = is_sampled(key) and [now, length]
+    flows = {k: packets for k, packets in groups.items() if packets}
+    return SampledFlows(flows, len(groups), ts, key)
+
+
+def replay_sampled(
+    sampled: SampledFlows, controller_config: ControllerConfig | None = None
+) -> SimulationResult:
+    """What `Simulation(rule_set.config, controller_config).run(trace)` returns,
+    for `sampled = sample_flows(trace, rule_set)`, one flow at a time.
+
+    A sampled flow's first packet is a PacketIn that requests its record
+    entry.  The rules the switch applies:
+
+    - a packet before the entry's install instant is a redundant PacketIn;
+    - an entry is gone for a packet strictly after its `expiry_of` instant,
+      and that packet requests a new one;
+    - an entry still unexpired at the last packet's timestamp ends the trace
+      as `eot`;
+    - an install is applied when a later packet reaches its instant, so the
+      one the very last packet requests at delay 0 never is: that record
+      comes from the controller alone.
+
+    Records come flow by flow, each flow's in time order.
+    """
+    cfg = controller_config or ControllerConfig()
+    delay, idle, hard = cfg.install_delay_ns, cfg.idle_timeout_ns, cfg.hard_timeout_ns
+    end, last_key = sampled.last_ns, sampled.last_key
+    records: list[FlowRecord] = []
+    record = records.append
+    starts: list[int] = []  # install and expiry instants of every applied install
+    ends: list[int] = []
+    redundant_packets: Counter = Counter()
+    redundant_bytes: Counter = Counter()
+
+    for key, packets in sampled.flows.items():
+        redundant = redundant_length = 0
+        install = None  # no record open yet
+        walk = iter(packets)
+        for ts, length in zip(walk, walk):
+            if install is not None:
+                if ts < install:  # entry still in flight: a redundant PacketIn
+                    seen_last = ts
+                    seen += 1
+                    seen_bytes += length
+                    redundant += 1
+                    redundant_length += length
+                    continue
+                instant, reason = expiry_of(install, last_match, idle, hard)
+                if ts <= instant:  # the entry matches
+                    matched += 1
+                    matched_bytes += length
+                    last_match = ts
+                    continue
+                # evicted before this packet
+                record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
+                                    matched, matched_bytes, last_match, reason))
+                starts.append(install)
+                ends.append(instant)
+            # a PacketIn that requests an entry, due at `install`: the open
+            # record holds what the controller sees of the flow until then
+            first = seen_last = ts
+            seen, seen_bytes = 1, length
+            install = last_match = ts + delay
+            matched = matched_bytes = 0
+        reason = FlowRemovedReason.DELETE  # drained, or never installed
+        if install <= end and (matched or key != last_key):  # installed
+            instant, expired = expiry_of(install, last_match, idle, hard)
+            if instant < end:
+                reason = expired
+            starts.append(install)
+            ends.append(instant)
+        record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
+                            matched, matched_bytes, last_match, reason))
+        if redundant:
+            redundant_packets[key.protocol] += redundant
+            redundant_bytes[key.protocol] += redundant_length
+
+    # peak occupancy: the most entries live (install <= t <= expiry) at an install t
+    ends.sort()
+    starts.sort()
+    peak = max((n - bisect_left(ends, t) for n, t in enumerate(starts, 1)), default=0)
+    return SimulationResult(
+        records=records,
+        flows_seen=sampled.flows_seen,
+        flows_sampled=len(sampled.flows),
+        entries_installed=len(starts),
+        peak_record_entries=peak,
+        redundant_packets_by_protocol=redundant_packets,
+        redundant_bytes_by_protocol=redundant_bytes,
+    )
 
 
 def replay_flows(
@@ -151,88 +264,6 @@ def replay_flows(
     rule_set: RuleSet,
     controller_config: ControllerConfig | None = None,
 ) -> SimulationResult:
-    """What `Simulation(rule_set.config, controller_config).run(trace)` returns,
-    one flow at a time.
-
-    Streams the trace once, in timestamp order, deciding sampling at each
-    key's first packet and keeping one open record per sampled key.  The
-    rules the switch applies:
-
-    - an entry is gone for a packet strictly after its `expiry_of` instant;
-    - an entry still unexpired at the last packet's timestamp ends the trace
-      as `eot`;
-    - an install is applied when a later packet reaches its instant, so the
-      one the very last packet requests at delay 0 never is: that record
-      comes from the controller alone.
-    """
-    cfg = controller_config or ControllerConfig()
-    delay, idle, hard = cfg.install_delay_ns, cfg.idle_timeout_ns, cfg.hard_timeout_ns
-    is_sampled = key_sampler(rule_set)
-    flows: dict[FlowKey, _Flow | bool] = {}  # every key seen; False when not sampled
-    records: list[FlowRecord] = []
-    lifetimes: list[tuple[int, int]] = []  # (install, expiry) of every applied install
-    redundant_packets: Counter = Counter()
-    redundant_bytes: Counter = Counter()
-
-    def requested(ts: int, length: int) -> _Flow:  # on a first PacketIn
-        return _Flow(ts, ts, 1, length, ts + delay, ts + delay, 0, 0)
-
-    ts = 0  # the switch clock starts at 0 too
-    for now, key, length in trace:
-        if now < ts:
-            raise ValueError(f"packet timestamp {now} behind the previous one, {ts}")
-        ts = now
-        flow = flows.get(key)
-        if not flow:
-            if flow is None:  # first packet of this key: first PacketIn if sampled
-                flows[key] = is_sampled(key) and requested(ts, length)
-            continue
-        if ts < flow.install_ns:  # entry still in flight: a redundant PacketIn
-            flow.last_seen_ns = ts
-            flow.packets += 1
-            flow.bytes += length
-            redundant_packets[key.protocol] += 1
-            redundant_bytes[key.protocol] += length
-            continue
-        instant, reason = expiry_of(flow.install_ns, flow.last_match_ns, idle, hard)
-        if ts > instant:  # evicted before this packet: a new PacketIn
-            records.append(merge_record(
-                key, flow, flow.entry_packets, flow.entry_bytes, flow.last_match_ns, reason
-            ))
-            lifetimes.append((flow.install_ns, instant))
-            flows[key] = requested(ts, length)
-        else:
-            flow.entry_packets += 1
-            flow.entry_bytes += length
-            flow.last_match_ns = ts
-
-    if flows:
-        last = flows[key]  # the state the very last packet left
-        for key, flow in flows.items():
-            if not flow:
-                continue
-            reason = FlowRemovedReason.DELETE  # drained, or never installed
-            if flow.install_ns <= ts and (flow is not last or flow.entry_packets):  # installed
-                instant, expired = expiry_of(flow.install_ns, flow.last_match_ns, idle, hard)
-                if instant < ts:
-                    reason = expired
-                lifetimes.append((flow.install_ns, instant))
-            records.append(merge_record(
-                key, flow, flow.entry_packets, flow.entry_bytes, flow.last_match_ns, reason
-            ))
-
-    # peak occupancy: the most entries live (install <= t <= expiry) at an install t
-    ends = sorted(end for _, end in lifetimes)
-    peak = max(
-        (n - bisect_left(ends, t) for n, t in enumerate(sorted(s for s, _ in lifetimes), 1)),
-        default=0,
-    )
-    return SimulationResult(
-        records=records,
-        flows_seen=len(flows),
-        flows_sampled=sum(1 for flow in flows.values() if flow),
-        entries_installed=len(lifetimes),
-        peak_record_entries=peak,
-        redundant_packets_by_protocol=redundant_packets,
-        redundant_bytes_by_protocol=redundant_bytes,
-    )
+    """What `Simulation(rule_set.config, controller_config).run(trace)` returns:
+    `replay_sampled(sample_flows(trace, rule_set), controller_config)`."""
+    return replay_sampled(sample_flows(trace, rule_set), controller_config)

@@ -15,7 +15,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import FlowKey, PacketRecord, Protocol, ascii_number, format_ip, parse_ip
+from .model import (
+    FlowKey, PacketRecord, Protocol, ascii_number, check_seed, format_ip, parse_ip
+)
 
 CSV_HEADER = ["ts_ns", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "len"]
 _PROTOCOLS = {p.name: p for p in Protocol}
@@ -263,6 +265,7 @@ class SyntheticSpec:
             raise ValueError("tcp_fraction must lie in [0, 1]")
         if self.duration_ns < 1:
             raise ValueError("duration must be >= 1ns")
+        check_seed(self.seed)
 
 
 class _ZipfDrawer:
@@ -363,7 +366,7 @@ def randomize_trace(trace: Iterable[PacketRecord], seed: int) -> list[PacketReco
     stay distinct, and every packet of a flow moves together, so sizes,
     timestamps and the flow size distribution are untouched.
     """
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
     mapping: dict[FlowKey, FlowKey] = {}
     used: set[FlowKey] = set()
     out = []

@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofmon.controller import (
     EXPORT_FIELDS,
@@ -13,7 +15,7 @@ from ofmon.controller import (
     export_records,
     record_to_dict,
 )
-from ofmon.model import ExpiryReason, Protocol, flow_key_of, format_ip
+from ofmon.model import ExpiryReason, FlowKey, FlowRecord, Protocol, flow_key_of, format_ip
 from ofmon.sampling import SamplingConfig, SamplingMethod, generate_rules
 from ofmon.simulate import replay, replay_flows
 from ofmon.switch import (
@@ -192,6 +194,19 @@ class TestRecordAccounting:
         assert result.entries_installed == 2
         assert result.peak_record_entries == 2
 
+    def test_install_the_last_packet_requests_at_delay_0_is_never_applied(self, run):
+        # the first entry idles out at 10 ms; the packet at 20 ms asks for a
+        # second one, due at 20 ms, but no later packet applies it
+        trace = [pkt(ts=0, length=60), pkt(ts=20 * MS, length=40)]
+        result = run(trace, RATE_ONE, cc(delay=0, idle=10 * MS))
+        first, last = sorted(result.records, key=lambda r: r.first_seen_ns)
+        assert first.expiry_reason is ExpiryReason.IDLE_TIMEOUT
+        assert (first.packet_count, first.controller_packet_count) == (1, 1)
+        assert last.expiry_reason is ExpiryReason.END_OF_TRACE
+        assert (last.first_seen_ns, last.byte_count, last.controller_packet_count) == (
+            20 * MS, 40, 1)
+        assert result.entries_installed == 1
+
     def test_per_flow_replay_rejects_a_trace_out_of_time_order(self):
         with pytest.raises(ValueError, match="behind"):
             replay_flows([pkt(ts=5), pkt(ts=4, sport=2)], generate_rules(RATE_ONE), cc())
@@ -257,3 +272,34 @@ class TestExport:
     def test_unknown_format_is_rejected(self):
         with pytest.raises(ValueError):
             export_records([], io.StringIO(), fmt="parquet")
+
+
+def edged(low, high):
+    """Integers in [low, high], with both ends drawn often."""
+    return st.one_of(st.sampled_from([low, high]), st.integers(low, high))
+
+
+NS_MAX = 2**63 - 1
+ADDRESS_MAX = 2**32 - 1
+edge_records = st.builds(
+    FlowRecord,
+    st.builds(FlowKey, edged(0, ADDRESS_MAX), edged(0, ADDRESS_MAX), edged(0, 65535),
+              edged(0, 65535), st.sampled_from(list(Protocol))),
+    edged(0, NS_MAX), edged(0, NS_MAX), edged(0, NS_MAX), edged(0, NS_MAX), edged(0, NS_MAX),
+    st.sampled_from(list(ExpiryReason)),
+)
+LOWEST = FlowRecord(FlowKey(0, 0, 0, 0, Protocol.TCP), 0, 0, 0, 0, 0, ExpiryReason.IDLE_TIMEOUT)
+HIGHEST = FlowRecord(FlowKey(ADDRESS_MAX, ADDRESS_MAX, 65535, 65535, Protocol.UDP),
+                     NS_MAX, NS_MAX, NS_MAX, NS_MAX, NS_MAX, ExpiryReason.END_OF_TRACE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(edge_records, max_size=8))
+@example(records=[HIGHEST, LOWEST, LOWEST._replace(expiry_reason=ExpiryReason.HARD_TIMEOUT)])
+def test_jsonl_line_is_the_json_dumps_line(records):
+    sink = io.StringIO()
+    assert export_records(records, sink, fmt="jsonl") == len(records)
+    ordered = sorted(records, key=lambda r: (r.first_seen_ns, r.key))
+    assert sink.getvalue() == "".join(
+        json.dumps(record_to_dict(r), separators=(",", ":")) + "\n" for r in ordered
+    )

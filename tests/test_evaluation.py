@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ofmon.controller import ControllerConfig
 from ofmon.evaluation import (
+    OverheadPoint,
     _run_trials,
     compute_fsd,
     run_overhead_experiment,
@@ -395,3 +396,45 @@ def test_experiments_equal_the_replayed_trials(rate):
             lambda r: wmrd(original, compute_fsd(merged_sizes(r.records).values())))
         w = run_wmrd_experiment(sizes, *args[1:])
         assert (w.realized_rate, w.values) == (realized, values)
+
+
+def _replayed_overhead(trace, delays, sampling, controller):
+    """The reference: one full replay per delay, with its flows and bytes
+    counted off that replay's records, as the sweep once ran."""
+    rules = generate_rules(sampling)
+    points = []
+    for delay in delays:
+        result = replay_flows(trace, rules, replace(controller, install_delay_ns=delay))
+        flows = Counter(key.protocol for key in {r.key for r in result.records})
+        total = Counter()
+        for record in result.records:
+            total[record.key.protocol] += record.byte_count
+        for protocol in (Protocol.TCP, Protocol.UDP):
+            n, all_bytes = flows[protocol], total[protocol]
+            red_packets = result.redundant_packets_by_protocol[protocol]
+            red_bytes = result.redundant_bytes_by_protocol[protocol]
+            points.append(OverheadPoint(
+                delay, protocol, n, red_packets, red_packets / n if n else 0.0,
+                red_bytes, all_bytes, 100.0 * red_bytes / all_bytes if all_bytes else 0.0,
+            ))
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_overhead_sweep_equals_one_replay_per_delay(data):
+    idle = data.draw(st.integers(1, 10), label="idle_ms") * MS
+    tick = data.draw(st.sampled_from([1, MS]), label="tick_ns")
+    controller = ControllerConfig(
+        idle_timeout_ns=idle,
+        hard_timeout_ns=data.draw(st.one_of(st.just(0), st.integers(idle // tick, 4 * idle // tick)),
+                                  label="hard_ticks") * tick,
+    )
+    # no delay, a delay equal to the idle timeout, and one above it
+    delays = [0, idle, idle + data.draw(st.integers(1, 10), label="above_idle_ms") * MS]
+    trace = data.draw(bursty_trace(idle, tick), label="trace")
+    method, mode = data.draw(st.sampled_from(CELLS), label="cell")
+    rate = data.draw(st.sampled_from(REPLAY_RATES), label="rate")
+    cfg = config_for_rate(method, mode, rate, data.draw(st.integers(0, 2**64 - 1), label="seed"))
+    got = run_overhead_experiment(trace, delays, sampling=cfg, controller_config=controller)
+    assert got == _replayed_overhead(trace, delays, cfg, controller)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofmon.model import FlowKey, Protocol
+from ofmon.model import SEED_LIMIT, FlowKey, Protocol
 from ofmon.sampling import (
     PORT_SPACE,
-    SEED_LIMIT,
     SamplingConfig,
     SamplingMethod,
     SamplingMode,
@@ -368,3 +367,9 @@ class TestSeedDerivation:
     def test_a_seed_out_of_range_is_rejected(self, seed):
         with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
             check_seed(seed)
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+    def test_a_config_seed_out_of_range_is_rejected(self, seed):
+        # random.Random keys on |seed|: -5 would draw seed 5's ports
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            SamplingConfig(SamplingMethod.PORT_BASED, src_size=10, seed=seed)

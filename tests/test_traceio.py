@@ -454,6 +454,12 @@ class TestSyntheticGeneration:
         with pytest.raises(ValueError):
             bad()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # random.Random keys on |seed|: -7 would generate seed 7's trace
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            SyntheticSpec(flow_count=5, seed=seed)
+
     @pytest.mark.parametrize(
         "dist", [Geometric(2.0 ** -53), ParetoDiscrete(0.0518), ParetoDiscrete(1.5, 10**290)]
     )
@@ -508,6 +514,12 @@ class TestRandomizeTrace:
         trace, out = self.scrambled()
         same = sum(1 for a, b in zip(trace, out) if flow_key_of(a) == flow_key_of(b))
         assert same < len(trace) // 100
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        trace = generate_trace(SyntheticSpec(flow_count=5, seed=3))
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            randomize_trace(trace, seed)
 
     def test_seeded(self):
         trace, a = self.scrambled(seed=1)
