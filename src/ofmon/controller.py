@@ -11,7 +11,6 @@ and the entry counters merge into one flow record.  `merge_record` is that
 merge's one rule; the per-flow replay applies it too.
 """
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -227,14 +226,16 @@ def export_records(records: list[FlowRecord], sink, fmt: str = "jsonl") -> int:
     """Write records ordered by (first_seen, key); returns how many.
 
     A jsonl line is `json.dumps(record_to_dict(r), separators=(",", ":"))`,
-    written out directly: every value is an int or an ASCII string that
-    needs no escape.
+    and the csv file is what `csv.DictWriter(sink, EXPORT_FIELDS,
+    lineterminator="\n")` writes, header first; both are written out
+    directly: every value is an int or an ASCII string that needs no escape
+    or quoting.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown export format {fmt!r}")
     ordered = sorted(records, key=_EXPORT_ORDER)
+    names, wire = _PROTOCOL_NAMES, _WIRE_REASONS
     if fmt == "jsonl":
-        names, wire = _PROTOCOL_NAMES, _WIRE_REASONS
         sink.writelines(
             f'{{"src_ip":"{format_ip(src)}","dst_ip":"{format_ip(dst)}",'
             f'"src_port":{sport},"dst_port":{dport},"protocol":"{names[proto]}",'
@@ -244,8 +245,11 @@ def export_records(records: list[FlowRecord], sink, fmt: str = "jsonl") -> int:
             in ordered
         )
     else:
-        writer = csv.DictWriter(sink, fieldnames=EXPORT_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for record in ordered:
-            writer.writerow(record_to_dict(record))
+        sink.write(",".join(EXPORT_FIELDS) + "\n")
+        sink.writelines(
+            f"{format_ip(src)},{format_ip(dst)},{sport},{dport},{names[proto]},"
+            f"{first},{last},{packets},{nbytes},{seen},{wire[reason]}\n"
+            for (src, dst, sport, dport, proto), first, last, packets, nbytes, seen, reason
+            in ordered
+        )
     return len(ordered)

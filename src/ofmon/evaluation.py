@@ -11,10 +11,11 @@ what it samples, not the flow count.  The overhead experiment depends on
 install delay and timeouts.  It groups the trace's sampled flows once
 (`simulate.sample_flows`) and walks them once per delay
 (`simulate.replay_sampled`), which equals a packet-level replay because a
-record entry only ever sees its own flow.  The flow and byte totals it
-reports per protocol are the same at every delay, so they are read off the
-groups once.  Statistics stay in the standard library; rates stay exact
-fractions.
+record entry only ever sees its own flow.  It reads only the redundancy
+counters, so each walk runs with records off: no flow record and no peak
+occupancy is built.  The flow and byte totals it reports per protocol are
+the same at every delay, so they are read off the groups once.  Statistics
+stay in the standard library; rates stay exact fractions.
 """
 
 import statistics
@@ -291,7 +292,7 @@ def run_overhead_experiment(
         bytes_by_proto[key.protocol] += sum(packets[1::2])
     points = []
     for delay in delays_ns:
-        result = replay_sampled(sampled, replace(cc, install_delay_ns=delay))
+        result = replay_sampled(sampled, replace(cc, install_delay_ns=delay), records=False)
         for protocol in (Protocol.TCP, Protocol.UDP):
             flows = flows_by_proto[protocol]
             red_packets = result.redundant_packets_by_protocol[protocol]

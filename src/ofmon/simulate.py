@@ -19,8 +19,9 @@ streams the trace once and groups the packets of each sampled flow, and
 controller configs groups once and walks once per config.  The walk closes
 records with the packet-level path's own two rules: `switch.expiry_of` says
 when an entry goes and why, and `controller.merge_record` what its record
-holds.  Identical (trace, config, seed) input replays to identical output,
-always.
+holds.  A caller that reads only the counters, as the overhead sweep does,
+walks with `records=False`: the same walk, minus the records and the peak.
+Identical (trace, config, seed) input replays to identical output, always.
 """
 
 from bisect import bisect_left
@@ -54,7 +55,7 @@ class SimulationResult:
     flows_seen: int
     flows_sampled: int
     entries_installed: int
-    peak_record_entries: int
+    peak_record_entries: int | None  # None when the replay kept no records
     redundant_packets_by_protocol: Counter
     redundant_bytes_by_protocol: Counter
 
@@ -172,7 +173,10 @@ def sample_flows(trace: Iterable[PacketRecord], rule_set: RuleSet) -> SampledFlo
 
 
 def replay_sampled(
-    sampled: SampledFlows, controller_config: ControllerConfig | None = None
+    sampled: SampledFlows,
+    controller_config: ControllerConfig | None = None,
+    *,
+    records: bool = True,
 ) -> SimulationResult:
     """What `Simulation(rule_set.config, controller_config).run(trace)` returns,
     for `sampled = sample_flows(trace, rule_set)`, one flow at a time.
@@ -189,15 +193,18 @@ def replay_sampled(
       one the very last packet requests at delay 0 never is: that record
       comes from the controller alone.
 
-    Records come flow by flow, each flow's in time order.
+    Records come flow by flow, each flow's in time order.  With
+    `records=False` the walk keeps only the counters: the result has no
+    records and `peak_record_entries` is None.
     """
     cfg = controller_config or ControllerConfig()
     delay, idle, hard = cfg.install_delay_ns, cfg.idle_timeout_ns, cfg.hard_timeout_ns
     end, last_key = sampled.last_ns, sampled.last_key
-    records: list[FlowRecord] = []
-    record = records.append
+    closed: list[FlowRecord] = []
+    record = closed.append
     starts: list[int] = []  # install and expiry instants of every applied install
     ends: list[int] = []
+    installs = 0  # counted here only when no instants are kept
     redundant_packets: Counter = Counter()
     redundant_bytes: Counter = Counter()
 
@@ -221,38 +228,47 @@ def replay_sampled(
                     last_match = ts
                     continue
                 # evicted before this packet
-                record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
-                                    matched, matched_bytes, last_match, reason))
-                starts.append(install)
-                ends.append(instant)
+                if records:
+                    record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
+                                        matched, matched_bytes, last_match, reason))
+                    starts.append(install)
+                    ends.append(instant)
+                else:
+                    installs += 1
             # a PacketIn that requests an entry, due at `install`: the open
             # record holds what the controller sees of the flow until then
             first = seen_last = ts
             seen, seen_bytes = 1, length
             install = last_match = ts + delay
             matched = matched_bytes = 0
-        reason = FlowRemovedReason.DELETE  # drained, or never installed
-        if install <= end and (matched or key != last_key):  # installed
-            instant, expired = expiry_of(install, last_match, idle, hard)
-            if instant < end:
-                reason = expired
-            starts.append(install)
-            ends.append(instant)
-        record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
-                            matched, matched_bytes, last_match, reason))
+        installed = install <= end and (matched > 0 or key != last_key)
+        if records:
+            reason = FlowRemovedReason.DELETE  # drained, or never installed
+            if installed:
+                instant, expired = expiry_of(install, last_match, idle, hard)
+                if instant < end:
+                    reason = expired
+                starts.append(install)
+                ends.append(instant)
+            record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
+                                matched, matched_bytes, last_match, reason))
+        else:
+            installs += installed
         if redundant:
             redundant_packets[key.protocol] += redundant
             redundant_bytes[key.protocol] += redundant_length
 
-    # peak occupancy: the most entries live (install <= t <= expiry) at an install t
-    ends.sort()
-    starts.sort()
-    peak = max((n - bisect_left(ends, t) for n, t in enumerate(starts, 1)), default=0)
+    peak = None
+    if records:
+        # the most entries live (install <= t <= expiry) at an install t
+        ends.sort()
+        starts.sort()
+        peak = max((n - bisect_left(ends, t) for n, t in enumerate(starts, 1)), default=0)
     return SimulationResult(
-        records=records,
+        records=closed,
         flows_seen=sampled.flows_seen,
         flows_sampled=len(sampled.flows),
-        entries_installed=len(starts),
+        entries_installed=len(starts) if records else installs,
         peak_record_entries=peak,
         redundant_packets_by_protocol=redundant_packets,
         redundant_bytes_by_protocol=redundant_bytes,

@@ -6,14 +6,17 @@ timestamps, dotted-quad IPv4 addresses and TCP/UDP only.  Files ending in
 ``.gz`` are transparently (de)compressed.
 """
 
-import bisect
 import csv
 import gzip
 import math
 import random
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import accumulate, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .model import (
     FlowKey, PacketRecord, Protocol, ascii_number, check_seed, format_ip, parse_ip
@@ -268,37 +271,41 @@ class SyntheticSpec:
         check_seed(self.seed)
 
 
-class _ZipfDrawer:
+def _below(getrandbits, n: int) -> int:
+    """What `random.Random.randrange(n)` draws for n >= 1, through the bound
+    `getrandbits`: CPython's `_randbelow_with_getrandbits`, which `randint`,
+    `choice` and `randrange` all come down to."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _zipf_drawer(skew: float, universe: int, rng: random.Random) -> Callable[[], int]:
     """Inverse-CDF sampler over ranks 1..universe with weight rank^-skew."""
-
-    def __init__(self, skew: float, universe: int):
-        acc = 0.0
-        cumulative = []
-        for rank in range(1, universe + 1):
-            acc += rank ** -skew
-            cumulative.append(acc)
-        self._cumulative = cumulative
-        self._total = acc
-
-    def draw(self, rng: random.Random) -> int:
-        point = rng.random() * self._total
-        return bisect.bisect_left(self._cumulative, point) + 1
+    cumulative = list(accumulate(map(pow, range(1, universe + 1), repeat(-skew))))
+    total, rand = cumulative[-1], rng.random
+    return lambda: bisect_left(cumulative, rand() * total) + 1
 
 
-def _ip_drawer(mode: KeyMode):
+def _ip_drawer(mode: KeyMode, rng: random.Random) -> Callable[[], int]:
     if isinstance(mode, UniformRandom):
-        return lambda rng: rng.getrandbits(32)
-    zipf = _ZipfDrawer(mode.skew, _IP_UNIVERSE)
+        return partial(rng.getrandbits, 32)
+    zipf = _zipf_drawer(mode.skew, _IP_UNIVERSE, rng)
     # spread popular ranks across the address space while keeping the draw
     # concentrated on few distinct addresses
-    return lambda rng: (zipf.draw(rng) * _KNUTH_MIX) & 0xFFFFFFFF
+    return lambda: (zipf() * _KNUTH_MIX) & 0xFFFFFFFF
 
 
-def _port_drawer(mode: KeyMode):
+def _uniform_port(getrandbits) -> int:
+    return _below(getrandbits, 65535) + 1  # randint(1, 65535)
+
+
+def _port_drawer(mode: KeyMode, rng: random.Random) -> Callable[[], int]:
     if isinstance(mode, UniformRandom):
-        return lambda rng: rng.randint(1, 65535)
-    zipf = _ZipfDrawer(mode.skew, 65535)
-    return lambda rng: zipf.draw(rng)  # low ports end up most popular
+        return partial(_uniform_port, rng.getrandbits)
+    return _zipf_drawer(mode.skew, 65535, rng)  # low ports end up most popular
 
 
 def _size_drawer(dist: SizeDistribution):
@@ -316,47 +323,56 @@ def _size_drawer(dist: SizeDistribution):
 def _gap_drawer(gap: GapDistribution):
     if isinstance(gap, FixedGap):
         return lambda rng: gap.gap_ns
-    mean = float(gap.mean_ns)
-    return lambda rng: max(1, round(rng.expovariate(1.0 / mean)))
+    lambd = 1.0 / float(gap.mean_ns)
+    # max(1, round(rng.expovariate(lambd))): the draw is never negative
+    return lambda rng: round(-math.log(1.0 - rng.random()) / lambd) or 1
+
+
+_TCP_LENGTHS = (64, 576, 1500)  # crude but serviceable: UDP datagrams small, TCP mixed
 
 
 def generate_trace(spec: SyntheticSpec) -> list[PacketRecord]:
     """Materialize the synthetic trace: distinct flow keys, >= 1 packet each,
-    packets merged into non-decreasing timestamp order."""
+    packets merged into non-decreasing timestamp order.
+
+    Every draw is the one `random.Random`'s `randint`, `choice`, `randrange`
+    and `expovariate` make, taken through `_below` and `random()` directly.
+    """
     rng = random.Random(spec.seed)
-    draw_ip = _ip_drawer(spec.ip_mode)
-    draw_port = _port_drawer(spec.port_mode)
+    bits, rand = rng.getrandbits, rng.random
+    draw_ip = _ip_drawer(spec.ip_mode, rng)
+    draw_port = _port_drawer(spec.port_mode, rng)
     draw_size = _size_drawer(spec.size_distribution)
     draw_gap = _gap_drawer(spec.gap)
+    tcp_fraction, duration = spec.tcp_fraction, spec.duration_ns
 
     used_keys: set[FlowKey] = set()
     packets: list[PacketRecord] = []
+    append = packets.append
     for _ in range(spec.flow_count):
         for attempt in range(1000):
-            protocol = Protocol.TCP if rng.random() < spec.tcp_fraction else Protocol.UDP
+            protocol = Protocol.TCP if rand() < tcp_fraction else Protocol.UDP
             if attempt < 10:
-                key = FlowKey(draw_ip(rng), draw_ip(rng), draw_port(rng), draw_port(rng), protocol)
+                key = FlowKey(draw_ip(), draw_ip(), draw_port(), draw_port(), protocol)
             else:  # skewed draws can collide a lot; fall back to uniform ports
-                key = FlowKey(draw_ip(rng), draw_ip(rng), rng.randint(1, 65535), rng.randint(1, 65535), protocol)
+                key = FlowKey(draw_ip(), draw_ip(), _uniform_port(bits), _uniform_port(bits), protocol)
             if key not in used_keys:
                 break
         else:
             raise RuntimeError("could not draw a fresh flow key; key space exhausted")
         used_keys.add(key)
         size = draw_size(rng)
-        ts = rng.randrange(spec.duration_ns)
+        ts = _below(bits, duration)
+        udp = protocol is Protocol.UDP
         for _ in range(size):
-            packets.append(PacketRecord(ts, key, _packet_length(rng, protocol)))
+            if udp:  # randint(64, 512)
+                length = _below(bits, 449) + 64
+            else:  # choice(_TCP_LENGTHS)
+                length = _TCP_LENGTHS[_below(bits, 3)]
+            append(PacketRecord(ts, key, length))
             ts += draw_gap(rng)
-    packets.sort(key=lambda p: p.timestamp_ns)  # stable: flow order breaks ties
+    packets.sort(key=itemgetter(0))  # stable: flow order breaks ties
     return packets
-
-
-def _packet_length(rng: random.Random, protocol: Protocol) -> int:
-    # crude but serviceable size model: UDP datagrams small, TCP mixed
-    if protocol is Protocol.UDP:
-        return rng.randint(64, 512)
-    return rng.choice((64, 576, 1500))
 
 
 def randomize_trace(trace: Iterable[PacketRecord], seed: int) -> list[PacketRecord]:

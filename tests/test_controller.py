@@ -1,5 +1,6 @@
 """Controller behavior: install scheduling, redundancy accounting, records, export."""
 
+import csv
 import io
 import json
 
@@ -303,3 +304,17 @@ def test_jsonl_line_is_the_json_dumps_line(records):
     assert sink.getvalue() == "".join(
         json.dumps(record_to_dict(r), separators=(",", ":")) + "\n" for r in ordered
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(edge_records, max_size=8))
+@example(records=[])
+@example(records=[HIGHEST, LOWEST, LOWEST._replace(expiry_reason=ExpiryReason.HARD_TIMEOUT)])
+def test_csv_file_is_the_dict_writer_file(records):
+    sink, expected = io.StringIO(), io.StringIO()
+    assert export_records(records, sink, fmt="csv") == len(records)
+    writer = csv.DictWriter(expected, fieldnames=EXPORT_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    for record in sorted(records, key=lambda r: (r.first_seen_ns, r.key)):
+        writer.writerow(record_to_dict(record))
+    assert sink.getvalue() == expected.getvalue()

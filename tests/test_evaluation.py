@@ -29,7 +29,7 @@ from ofmon.sampling import (
     generate_rules,
     sampled_keys,
 )
-from ofmon.simulate import Simulation, replay_flows
+from ofmon.simulate import Simulation, replay_flows, replay_sampled, sample_flows
 from ofmon.traceio import ExponentialGap, Geometric, SyntheticSpec, ZipfSkewed, generate_trace
 
 from helpers import pkt, random_trace
@@ -438,3 +438,37 @@ def test_overhead_sweep_equals_one_replay_per_delay(data):
     cfg = config_for_rate(method, mode, rate, data.draw(st.integers(0, 2**64 - 1), label="seed"))
     got = run_overhead_experiment(trace, delays, sampling=cfg, controller_config=controller)
     assert got == _replayed_overhead(trace, delays, cfg, controller)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_counters_only_walk_equals_the_full_walk(data):
+    idle = data.draw(st.integers(1, 10), label="idle_ms") * MS
+    tick = data.draw(st.sampled_from([1, MS]), label="tick_ns")
+    ticks = st.integers(1, 20 * idle // tick).map(lambda n: n * tick)
+    controller = ControllerConfig(
+        # no delay, one longer than any flow of the trace, or one in between
+        install_delay_ns=data.draw(st.one_of(st.just(0), st.just(100 * idle), ticks),
+                                   label="delay_ns"),
+        idle_timeout_ns=idle,
+        hard_timeout_ns=data.draw(st.one_of(st.just(0), st.just(idle), ticks.map(idle.__add__)),
+                                  label="hard_ns"),
+    )
+    trace = data.draw(bursty_trace(idle, tick), label="trace")
+    if data.draw(st.booleans(), label="last_packet_opens_a_flow"):
+        # at delay 0 its install is due at the last instant, and never applied
+        seen = {p.key for p in trace}
+        key = data.draw(keys_strategy.filter(lambda k: k not in seen), label="last_key")
+        trace.append(PacketRecord(trace[-1].timestamp_ns, key, 64))
+    method, mode = data.draw(st.sampled_from(CELLS), label="cell")
+    rate = data.draw(st.sampled_from(REPLAY_RATES), label="rate")
+    cfg = config_for_rate(method, mode, rate, data.draw(st.integers(0, 2**64 - 1), label="seed"))
+    sampled = sample_flows(trace, generate_rules(cfg))
+    full = replay_sampled(sampled, controller)
+    got = replay_sampled(sampled, controller, records=False)
+
+    assert got.records == [] and got.peak_record_entries is None
+    assert (got.entries_installed, got.flows_seen, got.flows_sampled) == (
+        full.entries_installed, full.flows_seen, full.flows_sampled)
+    assert got.redundant_packets_by_protocol == full.redundant_packets_by_protocol
+    assert got.redundant_bytes_by_protocol == full.redundant_bytes_by_protocol

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ofmon.model import SEED_LIMIT, FlowKey, Protocol
 from ofmon.sampling import (
     PORT_SPACE,
+    RuleSet,
     SamplingConfig,
     SamplingMethod,
     SamplingMode,
@@ -18,6 +19,7 @@ from ofmon.sampling import (
     check_seed,
     derive_seed,
     generate_rules,
+    key_sampler,
     select_bucket,
 )
 from ofmon.switch import SAMPLING_PRIORITY, Bucket, Drop, GroupEntry, OutputToController
@@ -255,6 +257,29 @@ class TestBucketSelection:
     def test_index_always_valid(self):
         g = self.group(5, 2, 3)
         assert {select_bucket(g, k, seed=0) for k in random_keys(2000, 3)} == {0, 1, 2}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        buckets=st.lists(st.tuples(st.integers(0, 6) | st.integers(0, 2**70), st.booleans()),
+                         min_size=1, max_size=5),
+        seed=st.integers(0, SEED_LIMIT - 1),
+        keys_seed=st.integers(0, 2**32),
+    )
+    @example(buckets=[(3, True)], seed=0, keys_seed=0)  # one bucket: no hashing
+    @example(buckets=[(1, False), (0, True), (3, True), (0, False), (2, False)],
+             seed=5, keys_seed=1)  # the mirror span starts after a pass bucket
+    @example(buckets=[(1, True), (1, False), (1, True)], seed=5, keys_seed=1)  # two spans
+    @example(buckets=[(0, True), (0, False)], seed=5, keys_seed=1)  # no weight at all
+    def test_key_sampler_answers_what_select_bucket_picks(self, buckets, seed, keys_seed):
+        group = GroupEntry(group_id=1, buckets=tuple(
+            Bucket(weight=w, actions=(OutputToController(),) if mirror else (Drop(),))
+            for w, mirror in buckets))
+        sampled = key_sampler(RuleSet(SamplingConfig(SamplingMethod.HASH_BASED, seed=seed),
+                                      (), (group,)))
+        keys = random_keys(64, keys_seed)
+        assert [sampled(k) for k in keys] == [
+            type(group.buckets[select_bucket(group, k, seed)].actions[0]) is OutputToController
+            for k in keys]
 
 
 class TestRateSolver:

@@ -34,6 +34,7 @@ from ofmon.traceio import (
 )
 
 from helpers import random_trace
+from generate_oracle import generate_trace as oracle_generate_trace
 from trace_oracle import read_csv_trace as oracle_read_csv_trace
 
 HEADER = ",".join(CSV_HEADER)
@@ -480,6 +481,37 @@ class TestSyntheticGeneration:
         assert _gap_drawer(ExponentialGap(low))(Top()) >= 1
         with pytest.raises(ValueError):
             ExponentialGap(high)
+
+
+key_modes = st.one_of(
+    st.just(UniformRandom()),
+    st.builds(ZipfSkewed, st.floats(0.1, 3.0)),
+    st.just(ZipfSkewed(60.0)),  # rank 1 only: keys collide until ports go uniform
+)
+specs = st.builds(
+    SyntheticSpec,
+    flow_count=st.integers(1, 30),
+    size_distribution=st.one_of(
+        st.builds(Fixed, st.integers(1, 4)),
+        st.builds(Geometric, st.sampled_from([1.0, 0.5, 0.3]) | st.floats(0.2, 1.0)),
+        st.builds(ParetoDiscrete, st.floats(1.5, 3.0), st.integers(1, 3)),
+    ),
+    ip_mode=key_modes,
+    port_mode=key_modes,
+    tcp_fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    gap=st.one_of(st.builds(FixedGap, st.integers(0, 10**6)),
+                  st.builds(ExponentialGap, st.integers(1, 10**12))),
+    duration_ns=st.sampled_from([1, 2, 2**40 + 1]) | st.integers(1, 10**10),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs)
+@example(spec=SyntheticSpec(flow_count=30, ip_mode=ZipfSkewed(60.0),
+                            port_mode=ZipfSkewed(60.0), seed=3))
+def test_the_generator_draws_what_the_reference_generator_draws(spec):
+    assert generate_trace(spec) == oracle_generate_trace(spec)
 
 
 class TestRandomizeTrace:
