@@ -4,6 +4,11 @@ The on-disk trace format is a CSV with header
 ``ts_ns,src_ip,dst_ip,src_port,dst_port,proto,len`` holding nanosecond
 timestamps, dotted-quad IPv4 addresses and TCP/UDP only.  Files ending in
 ``.gz`` are transparently (de)compressed.
+
+The reader takes the file a block of lines at a time and checks each block
+column by column, parsing each flow's key once.  The first block that fails
+a check, and every line after it, go through csv.reader row by row, so the
+packets and the located error are those of a row-by-row read.
 """
 
 import csv
@@ -14,8 +19,8 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter, le
 from typing import Callable, Iterable, Iterator
 
 from .model import (
@@ -24,6 +29,12 @@ from .model import (
 
 CSV_HEADER = ["ts_ns", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "len"]
 _PROTOCOLS = {p.name: p for p in Protocol}
+_READ_ERRORS = (OSError, EOFError, zlib.error)
+_BLOCK_LINES = 128  # lines checked at once: more save little time and raise peak memory
+# a longer line takes the row check, so the block check never meets a field
+# past csv's field limit (131072 by default) or int()'s digit limit
+_LONGEST_LINE = 4096
+_new_tuple = tuple.__new__  # what a NamedTuple's constructor calls, minus the Python frame
 
 _IP_UNIVERSE = 1 << 16  # distinct addresses available to the skewed drawer
 _KNUTH_MIX = 2654435761  # odd, so multiplication is a bijection mod 2^32
@@ -51,18 +62,34 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
     lineno = 0  # the last line read in full
     try:
         with _open_text(path, "r") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header != CSV_HEADER:
                 raise TraceFormatError(
                     f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
                 )
             lineno = 1
-            prev_ts = None
-            # key text of every row that passed _checked_packet -> its FlowKey.
-            # Accepted fields hold no comma, so the joined text names its fields.
+            prev_ts = 0
+            # key text of every accepted row -> its FlowKey.  Accepted fields
+            # hold no comma, so the joined text names its fields.
             keys: dict[str, FlowKey] = {}
-            for lineno, row in enumerate(reader, start=2):
+            rest: Iterable[str] = fh
+            while True:
+                block: list[str] = []
+                try:
+                    block.extend(islice(fh, _BLOCK_LINES))
+                except _READ_ERRORS as exc:  # the lines read before it stay
+                    rest = _raising(exc)
+                    break
+                if not block:
+                    return
+                columns = _block_columns(block, prev_ts, keys)
+                if columns is None:
+                    break
+                lineno += len(block)
+                prev_ts = columns[0][-1]
+                yield from map(_new_tuple, repeat(PacketRecord), zip(*columns))
+            # this block and every line after it: row by row
+            for lineno, row in enumerate(csv.reader(chain(block, rest)), start=lineno + 1):
                 # a later packet of a known flow checks only what can differ;
                 # any other row, or one that fails here, takes the full check
                 try:
@@ -83,11 +110,82 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
                     continue
                 prev_ts = ts
                 yield packet
-    except (OSError, EOFError, zlib.error, csv.Error) as exc:
+    except (*_READ_ERRORS, csv.Error) as exc:
         raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc
 
 
-def _checked_packet(row: list[str], lineno: int, prev_ts: int | None) -> PacketRecord:
+def _raising(exc: BaseException) -> Iterator[str]:
+    """An iterator whose first step raises `exc`."""
+    raise exc
+    yield
+
+
+def _block_columns(
+    lines: list[str], prev_ts: int, keys: dict[str, FlowKey]
+) -> tuple[list[int], list[FlowKey], list[int]] | None:
+    """The timestamps, keys and lengths of a block of lines, each column
+    checked at once, or None if any line fails a check.
+
+    No field check accepts a quote, a NUL or a CR, so in an accepted line
+    csv.reader would split on the commas alone, and a line that csv would
+    read otherwise always fails.  CRLF line ends read as LF ones, as csv
+    reads them.  New key texts are parsed and added to `keys` last, once
+    nothing else in the block can fail.
+    """
+    if max(map(len, lines)) > _LONGEST_LINE:
+        return None
+    text = "".join(lines)
+    if "\r" in text:  # a lone CR stays, in the last field of its line
+        text = text.replace("\r\n", "\n")
+    rows = text.split("\n")
+    if not rows[-1]:  # what follows the last line end
+        rows.pop()
+    ts_texts, _, rests = zip(*map(str.partition, rows, repeat(",")))
+    key_texts, _, length_texts = zip(*map(str.rpartition, rests, repeat(",")))
+    digits = "".join(ts_texts) + "".join(length_texts)
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    try:  # an empty field fails here
+        times = list(map(int, ts_texts))
+        lengths = list(map(int, length_texts))
+    except ValueError:
+        return None
+    if 0 in lengths or not all(map(le, chain((prev_ts,), times), times)):
+        return None
+    new = set(key_texts).difference(keys)
+    if new:
+        parsed = _parsed_keys(list(new))
+        if parsed is None:
+            return None
+        keys.update(parsed)
+    return times, list(map(keys.__getitem__, key_texts)), lengths
+
+
+def _parsed_keys(texts: list[str]) -> dict[str, FlowKey] | None:
+    """Key text -> FlowKey for `src_ip,dst_ip,src_port,dst_port,proto` texts,
+    checked column by column; None if any text fails a check, for the row
+    check to report or read."""
+    if set(map(str.count, texts, repeat(","))) != {4}:
+        return None
+    src_ips, dst_ips, src_ports, dst_ports, protos = zip(*map(str.split, texts, repeat(",")))
+    digits = "".join(src_ports + dst_ports)
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    try:
+        src_addrs = list(map(parse_ip, src_ips))
+        dst_addrs = list(map(parse_ip, dst_ips))
+        ports = list(map(int, src_ports + dst_ports))  # an empty port fails here
+        protocols = list(map(_PROTOCOLS.__getitem__, protos))
+    except (KeyError, ValueError):
+        return None
+    if max(ports) > 65535:
+        return None
+    n = len(texts)
+    return dict(zip(texts, map(_new_tuple, repeat(FlowKey), zip(
+        src_addrs, dst_addrs, ports[:n], ports[n:], protocols))))
+
+
+def _checked_packet(row: list[str], lineno: int, prev_ts: int) -> PacketRecord:
     """The packet a data row holds, every field checked; the message names the line."""
     if len(row) != len(CSV_HEADER):
         raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(row)}")
@@ -118,7 +216,7 @@ def _checked_packet(row: list[str], lineno: int, prev_ts: int | None) -> PacketR
         raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
     if ts < 0:
         raise TraceFormatError(f"line {lineno}: negative timestamp {ts}")
-    if prev_ts is not None and ts < prev_ts:
+    if ts < prev_ts:
         raise TraceFormatError(
             f"line {lineno}: timestamp {ts} goes backwards (previous {prev_ts})"
         )

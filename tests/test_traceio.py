@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ofmon import traceio
 from ofmon.model import FlowKey, PacketRecord, Protocol, flow_key_of, format_ip
 from ofmon.traceio import (
     CSV_HEADER,
@@ -74,10 +75,12 @@ class TestCsvRoundTrip:
                            "1,1.2.3.4,5.6.7.8,10,20,Udp,64")
         assert [p.key.protocol for p in read_csv_trace(path)] == [Protocol.TCP, Protocol.UDP]
 
-    def test_packets_of_a_flow_share_one_key_object(self, tmp_path):
+    # the larger count puts each flow's packets on both sides of a block edge
+    @pytest.mark.parametrize("count", [120, 2 * traceio._BLOCK_LINES + 30])
+    def test_packets_of_a_flow_share_one_key_object(self, tmp_path, count):
         keys = sorted({p.key for p in random_trace(30, seed=3)})
         path = str(tmp_path / "t.csv")
-        write_csv_trace([PacketRecord(i, keys[i % 30], 64) for i in range(120)], path)
+        write_csv_trace([PacketRecord(i, keys[i % 30], 64) for i in range(count)], path)
         objects = {}
         for p in read_csv_trace(path):
             objects.setdefault(p.key, set()).add(id(p.key))
@@ -364,6 +367,94 @@ def test_every_spelling_after_known_keys_agrees_with_the_reference_reader(tmp_pa
         path.write_bytes("\n".join([HEADER, *known, f"{ts},{key},{length}", ""]).encode())
         assert packets_then_error(read_csv_trace, str(path)) == packets_then_error(
             oracle_read_csv_trace, str(path)), (ts, key, length)
+
+
+SMALL_BLOCK = 3  # lines per block below, so that a short file spans many blocks
+
+
+def agrees_in_small_blocks(path):
+    """Whether the reader, reading SMALL_BLOCK lines at a time, yields the
+    packets and then the message the reference reader yields."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_BLOCK_LINES", SMALL_BLOCK)
+        got = packets_then_error(read_csv_trace, path)
+    return got == packets_then_error(oracle_read_csv_trace, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=st.one_of(trace_file(), memo_trace_file()))
+def test_the_reader_agrees_with_the_reference_reader_across_block_edges(tmp_path_factory, file):
+    name, data = file
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(data)
+    assert agrees_in_small_blocks(str(path))
+
+
+# a fault that turns a row's fields into the bytes of its line or lines: a
+# bad field or line end, or a valid spelling the block check leaves to the row check
+FAULTS = {
+    "bad port": lambda f: b",".join([*f[:3], b"70000", *f[4:]]) + b"\n",
+    "bad protocol": lambda f: b",".join([*f[:5], b"ICMP", f[6]]) + b"\n",
+    "zero length": lambda f: b",".join([*f[:6], b"0"]) + b"\n",
+    "signed length": lambda f: b",".join([*f[:6], b"+" + f[6]]) + b"\n",
+    "empty timestamp": lambda f: b",".join([b"", *f[1:]]) + b"\n",
+    "underscored timestamp": lambda f: b",".join([f[0] + b"_0", *f[1:]]) + b"\n",
+    "non-ASCII digit": lambda f: b",".join([f[0] + "\u0661".encode(), *f[1:]]) + b"\n",
+    "backwards timestamp": lambda f: b",".join([b"9", *f[1:]]) + b"\n",
+    "quoted field": lambda f: b",".join([b'"' + f[0] + b'"', *f[1:]]) + b"\n",
+    "quoted line end": lambda f: b",".join([*f[:6], b'"' + f[6] + b'\n"']) + b"\n",
+    "CRLF": lambda f: b",".join(f) + b"\r\n",
+    "lone CR": lambda f: b",".join(f) + b"\r",
+    "blank line": lambda f: b"\n" + b",".join(f) + b"\n",
+    "NUL": lambda f: b",".join([f[0] + b"\0", *f[1:]]) + b"\n",
+    "non-UTF-8 byte": lambda f: b",".join([*f[:6], f[6] + b"\xe9"]) + b"\n",
+    "field over the csv limit": lambda f: b",".join([f[0], b"9" * 131_073, *f[2:]]) + b"\n",
+    "leading zeros": lambda f: b",".join([b"00" + f[0], *f[1:]]) + b"\n",
+    "lowercase protocol": lambda f: b",".join([*f[:5], f[5].lower(), f[6]]) + b"\n",
+    "signed port": lambda f: b",".join([*f[:3], b"+" + f[3], *f[4:]]) + b"\n",
+    "port -0": lambda f: b",".join([*f[:3], b"-0", *f[4:]]) + b"\n",
+}
+FAULT_KEYS = ["10.0.0.1,10.0.0.2,1,2,UDP", "10.0.0.3,10.0.0.4,65535,0,TCP", KEY_TEXTS[0]]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@settings(max_examples=30, deadline=None)
+@given(
+    keys=st.lists(st.sampled_from(FAULT_KEYS), min_size=1, max_size=4 * SMALL_BLOCK),
+    at=st.integers(0, 4 * SMALL_BLOCK - 1),
+    name=st.sampled_from(["t.csv", "t.csv.gz"]),
+    cut=st.none() | st.integers(0, 200),
+)
+@example(keys=FAULT_KEYS[:2] * SMALL_BLOCK, at=SMALL_BLOCK, name="t.csv", cut=None)
+@example(keys=FAULT_KEYS[:2] * SMALL_BLOCK, at=2 * SMALL_BLOCK - 1, name="t.csv.gz", cut=None)
+def test_one_fault_at_any_row_agrees_with_the_reference_reader_across_block_edges(
+        tmp_path_factory, fault, keys, at, name, cut):
+    """Rows at timestamps 10, 11, ...; the row at `at` (mod the row count)
+    carries the fault, and the file may be cut short `cut` bytes from its end."""
+    lines = [HEADER.encode() + b"\n"]
+    for i, key in enumerate(keys):
+        fields = f"{10 + i},{key},{64 + i}".encode().split(b",")
+        lines.append(FAULTS[fault](fields) if i == at % len(keys) else b",".join(fields) + b"\n")
+    data = b"".join(lines)
+    if name.endswith(".gz"):
+        data = gzip.compress(data)
+    if cut is not None:
+        data = data[: max(len(data) - cut, 0)]
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(data)
+    assert agrees_in_small_blocks(str(path))
+
+
+def test_crlf_line_ends_read_as_lf_line_ends(tmp_path):
+    trace = random_trace(40, seed=4, packets_per_flow=3)
+    path = tmp_path / "t.csv"
+    write_csv_trace(trace, str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert packets_then_error(read_csv_trace, str(path)) == (trace, None)
+    assert packets_then_error(oracle_read_csv_trace, str(path)) == (trace, None)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()[1:]
+    assert traceio._block_columns(lines, 0, {}) is not None  # no row takes the row check
 
 
 class TestSyntheticGeneration:
