@@ -105,9 +105,12 @@ def _check_output_file(flag: str, path: str) -> None:
 def _set_flags(obj, *flags):
     """`obj` with each (flag, field, parse, text) applied in turn by dataclasses.replace.
 
-    The class checks each step, so a value it rejects names the flag that set it.
+    A flag not given (text None) keeps the class's default.  The class checks
+    each step, so a value it rejects names the flag that set it.
     """
     for flag, field, parse, text in flags:
+        if text is None:
+            continue
         obj = parse_at(flag, lambda t: dataclasses.replace(obj, **{field: parse(t)}), text)
     return obj
 
@@ -197,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--method", choices=sorted(m.value for m in SamplingMethod), required=True)
     p_sim.add_argument("--mode", choices=sorted(m.value for m in SamplingMode), default="source")
     p_sim.add_argument("--rate", required=True, help="sampling rate as a fraction, e.g. 1/64")
-    p_sim.add_argument("--idle", default="15s", help="idle timeout (default 15s)")
-    p_sim.add_argument("--hard", default="0", help="hard timeout, 0 disables (default)")
-    p_sim.add_argument("--delay", default="0", help="entry install delay (default 0)")
+    p_sim.add_argument("--idle", help="idle timeout (default 15s)")
+    p_sim.add_argument("--hard", help="hard timeout, 0 disables (default)")
+    p_sim.add_argument("--delay", help="entry install delay (default 0)")
     p_sim.add_argument("--seed", type=ascii_int, default=0)
     p_sim.add_argument("--out", required=True, help="flow record output file")
     p_sim.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
@@ -213,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate or randomize a trace")
     p_gen.add_argument("--flows", type=ascii_int, help="synthetic flow count")
-    p_gen.add_argument("--sizes", default="geometric:0.5", help="geometric:P | pareto:A[:MIN] | fixed:K")
-    p_gen.add_argument("--ips", default="uniform", help="uniform | zipf:S")
-    p_gen.add_argument("--ports", default="uniform", help="uniform | zipf:S")
-    p_gen.add_argument("--tcp-fraction", type=ascii_float, default=0.8, dest="tcp_fraction")
-    p_gen.add_argument("--gaps", default="exp:50ms", help="exp:DUR | fixed:DUR")
-    p_gen.add_argument("--duration", default="1s", help="flow start-time window")
+    p_gen.add_argument("--sizes", help="geometric:P | pareto:A[:MIN] | fixed:K")
+    p_gen.add_argument("--ips", help="uniform | zipf:S")
+    p_gen.add_argument("--ports", help="uniform | zipf:S")
+    p_gen.add_argument("--tcp-fraction", type=ascii_float, dest="tcp_fraction")
+    p_gen.add_argument("--gaps", help="exp:DUR | fixed:DUR")
+    p_gen.add_argument("--duration", help="flow start-time window")
     p_gen.add_argument("--randomize", metavar="TRACE", help="randomize keys of TRACE instead")
     p_gen.add_argument("--seed", type=ascii_int, default=0)
     p_gen.add_argument("-o", "--out", required=True, help="output trace CSV (.gz ok)")

@@ -204,7 +204,7 @@ def replay_sampled(
     record = closed.append
     starts: list[int] = []  # install and expiry instants of every applied install
     ends: list[int] = []
-    installs = 0  # counted here only when no instants are kept
+    installs = 0
     redundant_packets: Counter = Counter()
     redundant_bytes: Counter = Counter()
 
@@ -228,13 +228,12 @@ def replay_sampled(
                     last_match = ts
                     continue
                 # evicted before this packet
+                installs += 1
                 if records:
                     record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
                                         matched, matched_bytes, last_match, reason))
                     starts.append(install)
                     ends.append(instant)
-                else:
-                    installs += 1
             # a PacketIn that requests an entry, due at `install`: the open
             # record holds what the controller sees of the flow until then
             first = seen_last = ts
@@ -242,6 +241,7 @@ def replay_sampled(
             install = last_match = ts + delay
             matched = matched_bytes = 0
         installed = install <= end and (matched > 0 or key != last_key)
+        installs += installed
         if records:
             reason = FlowRemovedReason.DELETE  # drained, or never installed
             if installed:
@@ -252,8 +252,6 @@ def replay_sampled(
                 ends.append(instant)
             record(merge_record(key, FlowView(first, seen_last, seen, seen_bytes),
                                 matched, matched_bytes, last_match, reason))
-        else:
-            installs += installed
         if redundant:
             redundant_packets[key.protocol] += redundant
             redundant_bytes[key.protocol] += redundant_length
@@ -268,7 +266,7 @@ def replay_sampled(
         records=closed,
         flows_seen=sampled.flows_seen,
         flows_sampled=len(sampled.flows),
-        entries_installed=len(starts) if records else installs,
+        entries_installed=installs,
         peak_record_entries=peak,
         redundant_packets_by_protocol=redundant_packets,
         redundant_bytes_by_protocol=redundant_bytes,

@@ -6,9 +6,12 @@ timestamps, dotted-quad IPv4 addresses and TCP/UDP only.  Files ending in
 ``.gz`` are transparently (de)compressed.
 
 The reader takes the file a block of lines at a time and checks each block
-column by column, parsing each flow's key once.  The first block that fails
-a check, and every line after it, go through csv.reader row by row, so the
-packets and the located error are those of a row-by-row read.
+column by column, parsing each flow's key once; a protocol in any ASCII case
+(``tcp``, ``Udp``) passes.  A block that fails a check (a quote, a NUL, a
+lone CR, a blank or overlong line, a spelling such as port ``-0``, a fault)
+or meets a read error goes through csv.reader row by row, so the packets and
+the located error are those of a row-by-row read; the next block takes the
+block check again.
 """
 
 import csv
@@ -19,7 +22,7 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, product, repeat
 from operator import itemgetter, le
 from typing import Callable, Iterable, Iterator
 
@@ -28,7 +31,8 @@ from .model import (
 )
 
 CSV_HEADER = ["ts_ns", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "len"]
-_PROTOCOLS = {p.name: p for p in Protocol}
+# every ASCII casing of each name: `tcp` and `Udp` read as TCP and UDP
+_PROTOCOLS = {"".join(name): p for p in Protocol for name in product(*zip(p.name, p.name.lower()))}
 _READ_ERRORS = (OSError, EOFError, zlib.error)
 _BLOCK_LINES = 128  # lines checked at once: more save little time and raise peak memory
 # a longer line takes the row check, so the block check never meets a field
@@ -72,44 +76,33 @@ def read_csv_trace(path: str) -> Iterator[PacketRecord]:
             # key text of every accepted row -> its FlowKey.  Accepted fields
             # hold no comma, so the joined text names its fields.
             keys: dict[str, FlowKey] = {}
-            rest: Iterable[str] = fh
             while True:
                 block: list[str] = []
+                rest: Iterable[str] = fh
                 try:
                     block.extend(islice(fh, _BLOCK_LINES))
                 except _READ_ERRORS as exc:  # the lines read before it stay
                     rest = _raising(exc)
-                    break
-                if not block:
-                    return
-                columns = _block_columns(block, prev_ts, keys)
-                if columns is None:
-                    break
-                lineno += len(block)
-                prev_ts = columns[0][-1]
-                yield from map(_new_tuple, repeat(PacketRecord), zip(*columns))
-            # this block and every line after it: row by row
-            for lineno, row in enumerate(csv.reader(chain(block, rest)), start=lineno + 1):
-                # a later packet of a known flow checks only what can differ;
-                # any other row, or one that fails here, takes the full check
-                try:
-                    ts, src_ip, dst_ip, src_port, dst_port, proto, length = row
-                    key = keys[f"{src_ip},{dst_ip},{src_port},{dst_port},{proto}"]
-                    digits = ts + length
-                    fast = (digits.isdigit() and digits.isascii()
-                            and prev_ts <= (ts := int(ts)) and (length := int(length)) >= 1)
-                except (ValueError, KeyError):
-                    fast = False
-                if fast:
-                    packet = PacketRecord(ts, key, length)
-                elif row:
-                    packet = _checked_packet(row, lineno, prev_ts)
-                    keys[",".join(row[1:6])] = packet.key
-                    ts = packet.timestamp_ns
                 else:
-                    continue
-                prev_ts = ts
-                yield packet
+                    if not block:
+                        return
+                    columns = _block_columns(block, prev_ts, keys)
+                    if columns is not None:
+                        lineno += len(block)
+                        prev_ts = columns[0][-1]
+                        yield from map(_new_tuple, repeat(PacketRecord), zip(*columns))
+                        continue
+                # this block alone, row by row, up to a read error if one came.
+                # A record past the block's end has a line end in a field, so
+                # it fails its check.
+                reader = csv.reader(chain(block, rest))
+                for lineno, row in enumerate(reader, start=lineno + 1):
+                    if row:
+                        prev_ts, key, length = _checked_packet(row, lineno, prev_ts)
+                        key = keys.setdefault(",".join(row[1:6]), key)  # one object per flow
+                        yield PacketRecord(prev_ts, key, length)
+                    if rest is fh and reader.line_num >= len(block):
+                        break
     except (*_READ_ERRORS, csv.Error) as exc:
         raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc
 
@@ -210,8 +203,6 @@ def _checked_packet(row: list[str], lineno: int, prev_ts: int) -> PacketRecord:
     except ValueError as exc:
         raise TraceFormatError(f"line {lineno}: dst_ip {exc}") from exc
     protocol = _PROTOCOLS.get(row[5])
-    if protocol is None and row[5].isascii():  # any case, but no padding
-        protocol = _PROTOCOLS.get(row[5].upper())
     if protocol is None:
         raise TraceFormatError(f"line {lineno}: unsupported protocol {row[5]!r}")
     if ts < 0:

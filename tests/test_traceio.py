@@ -1,5 +1,6 @@
 """Trace file round trips, input validation, synthetic generation, key scrambling."""
 
+import contextlib
 import csv
 import gzip
 import io
@@ -455,6 +456,40 @@ def test_crlf_line_ends_read_as_lf_line_ends(tmp_path):
     with open(path, newline="") as fh:
         lines = fh.readlines()[1:]
     assert traceio._block_columns(lines, 0, {}) is not None  # no row takes the row check
+
+
+def error_then_end(lines):
+    """The lines of an open text file whose next read fails with OSError;
+    as a generator does, it ends after raising."""
+    yield from lines
+    raise OSError("read failed")
+
+
+def test_a_read_error_in_a_block_that_fails_its_check_is_raised(monkeypatch):
+    # the blank line fails the block; the file ends right after the error
+    lines = [HEADER + "\n", ROW + "\n", "\n", "5,9.8.7.6,5.4.3.2,1,2,UDP,64\n"]
+    monkeypatch.setattr(traceio, "_open_text",
+                        lambda path, mode: contextlib.nullcontext(error_then_end(lines)))
+    packets, error = packets_then_error(read_csv_trace, "t.csv")
+    assert [p.timestamp_ns for p in packets] == [0, 5]
+    assert error == "line 5: read failed"
+
+
+def test_one_odd_line_sends_only_its_block_to_the_row_check(tmp_path, monkeypatch):
+    # three blocks of distinct keys, the first with a blank line after the header
+    rows = [f"{i},10.0.0.{i},10.0.1.{i},{i},{i},TCP,64" for i in range(3 * SMALL_BLOCK - 1)]
+    path = write_lines(tmp_path / "t.csv", HEADER, "", *rows)
+    checked = []
+    check = traceio._checked_packet
+
+    def counted(row, lineno, prev_ts):
+        checked.append(lineno)
+        return check(row, lineno, prev_ts)
+
+    monkeypatch.setattr(traceio, "_BLOCK_LINES", SMALL_BLOCK)
+    monkeypatch.setattr(traceio, "_checked_packet", counted)
+    assert [p.timestamp_ns for p in read_csv_trace(path)] == list(range(len(rows)))
+    assert checked == list(range(3, SMALL_BLOCK + 2))  # the first block's rows
 
 
 class TestSyntheticGeneration:

@@ -9,8 +9,10 @@ import csv
 import zlib
 from typing import Iterator
 
-from ofmon.model import FlowKey, PacketRecord, ascii_number, parse_ip
-from ofmon.traceio import _PROTOCOLS, CSV_HEADER, TraceFormatError, _open_text
+from ofmon.model import FlowKey, PacketRecord, Protocol, ascii_number, parse_ip
+from ofmon.traceio import CSV_HEADER, TraceFormatError, _open_text
+
+_PROTOCOLS = {"TCP": Protocol.TCP, "UDP": Protocol.UDP}
 
 
 def read_csv_trace(path: str) -> Iterator[PacketRecord]:
