@@ -22,8 +22,10 @@ import random
 import struct
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .model import FlowKey, Protocol, check_seed
@@ -334,30 +336,6 @@ def _mirrors(bucket: Bucket) -> bool:
     return any(type(a) is OutputToController for a in bucket.actions)
 
 
-def _mirror_span(buckets: tuple[Bucket, ...]) -> tuple[int, int, int] | None:
-    """(low, high, total): `select_bucket` picks a mirror bucket for a key
-    exactly when `low <= (_mix64(key, seed) * total) >> 64 < high`.
-
-    The point lies in [0, total) and each bucket owns the next `weight`
-    points, so the mirror buckets own one span if no other bucket with
-    weight sits between them.  None when they do not, or when
-    `select_bucket` picks without the point: fewer than two buckets, or no
-    positive total.
-    """
-    if len(buckets) < 2 or any(b.weight < 0 for b in buckets):
-        return None
-    low = high = total = 0
-    for bucket in buckets:
-        start, total = total, total + bucket.weight
-        if bucket.weight and _mirrors(bucket):
-            if low == high:
-                low = start
-            elif high != start:
-                return None
-            high = total
-    return (low, high, total) if total else None
-
-
 def key_sampler(rule_set: RuleSet) -> Callable[[FlowKey], bool]:
     """A predicate: whether table 0 mirrors a flow's packets to the controller.
 
@@ -367,14 +345,15 @@ def key_sampler(rule_set: RuleSet) -> Callable[[FlowKey], bool]:
     off the rules without replaying a packet.
     """
     if rule_set.groups:
-        group = rule_set.groups[0]
-        seed = rule_set.config.seed
-        span = _mirror_span(group.buckets)
-        if span is None:
-            mirror = [_mirrors(b) for b in group.buckets]
+        group, seed = rule_set.groups[0], rule_set.config.seed
+        mirror = [_mirrors(b) for b in group.buckets]
+        if len(mirror) < 2:  # select_bucket picks without hashing, or raises for no bucket
             return lambda key: mirror[select_bucket(group, key, seed)]
-        low, high, total = span
-        return lambda key: low <= (_mix64(key, seed) * total) >> 64 < high
+        # select_bucket's rule: the first bucket whose running weight exceeds
+        # the point, else the last; the running max keeps negative weights in step
+        bounds = list(accumulate(accumulate(b.weight for b in group.buckets[:-1]), max))
+        total = sum(b.weight for b in group.buckets)
+        return lambda key: mirror[bisect_right(bounds, (_mix64(key, seed) * total) >> 64)]
     matchers = [entry.match.matches for entry in rule_set.flow_entries]
 
     def sampled(key: FlowKey) -> bool:

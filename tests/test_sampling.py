@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ofmon import sampling
 from ofmon.model import SEED_LIMIT, FlowKey, Protocol
 from ofmon.sampling import (
     PORT_SPACE,
@@ -260,16 +261,19 @@ class TestBucketSelection:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        buckets=st.lists(st.tuples(st.integers(0, 6) | st.integers(0, 2**70), st.booleans()),
+        buckets=st.lists(st.tuples(st.integers(-6, 6) | st.integers(-2**70, 2**70), st.booleans()),
                          min_size=1, max_size=5),
         seed=st.integers(0, SEED_LIMIT - 1),
         keys_seed=st.integers(0, 2**32),
     )
     @example(buckets=[(3, True)], seed=0, keys_seed=0)  # one bucket: no hashing
     @example(buckets=[(1, False), (0, True), (3, True), (0, False), (2, False)],
-             seed=5, keys_seed=1)  # the mirror span starts after a pass bucket
-    @example(buckets=[(1, True), (1, False), (1, True)], seed=5, keys_seed=1)  # two spans
+             seed=5, keys_seed=1)  # the mirror buckets follow a pass bucket
+    @example(buckets=[(1, True), (1, False), (1, True)], seed=5, keys_seed=1)  # split mirrors
     @example(buckets=[(0, True), (0, False)], seed=5, keys_seed=1)  # no weight at all
+    @example(buckets=[(3, True), (-2, False), (1, False)],
+             seed=5, keys_seed=1)  # prefix sums dip: only their running max is sorted
+    @example(buckets=[(2, True), (-2, False)], seed=5, keys_seed=1)  # weights sum to zero
     def test_key_sampler_answers_what_select_bucket_picks(self, buckets, seed, keys_seed):
         group = GroupEntry(group_id=1, buckets=tuple(
             Bucket(weight=w, actions=(OutputToController(),) if mirror else (Drop(),))
@@ -280,6 +284,22 @@ class TestBucketSelection:
         assert [sampled(k) for k in keys] == [
             type(group.buckets[select_bucket(group, k, seed)].actions[0]) is OutputToController
             for k in keys]
+
+    def hash_rules(self, *weights):
+        return RuleSet(SamplingConfig(SamplingMethod.HASH_BASED), (), (self.group(*weights),))
+
+    def test_key_sampler_of_a_group_without_buckets_raises(self):
+        sampled = key_sampler(self.hash_rules())
+        with pytest.raises(ValueError, match="no buckets"):
+            sampled(random_keys(1, 0)[0])
+
+    def test_key_sampler_of_one_bucket_answers_without_hashing(self, monkeypatch):
+        def no_hashing(key, seed):
+            raise AssertionError("a one-bucket group needs no hash")
+
+        sampled = key_sampler(self.hash_rules(3))
+        monkeypatch.setattr(sampling, "_mix64", no_hashing)
+        assert all(sampled(k) for k in random_keys(64, 0))
 
 
 class TestRateSolver:
