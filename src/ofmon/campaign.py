@@ -11,13 +11,14 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 from .controller import ControllerConfig, export_records
 from .evaluation import (
+    OverheadPoint,
     run_overhead_experiment,
     run_rate_experiment,
     run_wmrd_experiment,
@@ -392,7 +393,7 @@ def _run_cells(sizes: Counter, jobs: list, workers: int):
         return list(pool.map(_run_worker_cell, jobs))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -498,18 +499,10 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
             sampling=sampling_cfg,
             controller_config=config.controller,
         )
-        rows = [
-            [p.install_delay_ns, p.protocol.name, p.flows, p.redundant_packets,
-             p.mean_redundant_packets_per_flow, p.redundant_bytes, p.total_flow_bytes,
-             p.redundant_byte_percent]
-            for p in points
-        ]
         _write_csv(
             out / "overhead_results.csv",
-            ["install_delay_ns", "protocol", "flows", "redundant_packets",
-             "mean_redundant_packets_per_flow", "redundant_bytes", "total_flow_bytes",
-             "redundant_byte_percent"],
-            rows,
+            [f.name for f in fields(OverheadPoint)],
+            [astuple(replace(p, protocol=p.protocol.name)) for p in points],
         )
         written.append("overhead_results.csv")
         progress(f"overhead experiment done: {len(config.overhead_delays_ns)} delays")

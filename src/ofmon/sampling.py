@@ -25,7 +25,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable
 
 from .model import FlowKey, Protocol, check_seed
@@ -43,6 +43,7 @@ from .switch import (
 
 PORT_SPACE = 65535  # sampled ports are drawn from 1..65535; 0 is reserved
 HASH_GROUP_ID = 1
+_WORDS = 1024  # generator outputs the pool method draws at a time, as it needs them
 _SAMPLE_THEN_FORWARD = (OutputToController(), GotoTable())
 
 
@@ -236,25 +237,21 @@ def _sample_ports(rng: random.Random, k: int) -> frozenset[int]:
     if n <= setsize:
         # pool method: step i swaps the index drawn below bound n - i to the pool's end
         pool = list(_port_pool())
-        last, stop, used = n - 1, n - k - 1, 0
-        words = iter(())
-        while last > stop:
-            bits = (last + 1).bit_length()
-            end = max(stop, (1 << (bits - 1)) - 2)  # the bound keeps its bit length down to here
-            shift = 16 - bits
-            start, rejected = last, 0
-            for h in words:
-                j = h >> shift
-                if j > last:
-                    rejected += 1
-                else:
-                    pool[j], pool[last] = pool[last], pool[j]
-                    last -= 1
-                    if last == end:
-                        break
-            else:
-                words = iter(_high_halves(rng, 2 * (last - end) + 32))
-            used += start - last + rejected
+        last, stop, used = n - 1, n - k - 1, k  # each rejected try adds one
+        bits = n.bit_length()  # the bound last + 1 keeps this bit length down to last == end
+        shift, end = 16 - bits, max(stop, (1 << (bits - 1)) - 2)
+        for h in chain.from_iterable(map(_high_halves, repeat(rng), repeat(_WORDS))):
+            j = h >> shift
+            if j > last:
+                used += 1
+                continue
+            pool[j], pool[last] = pool[last], pool[j]
+            last -= 1
+            if last == end:
+                if last == stop:
+                    break
+                shift += 1
+                end = max(stop, (end >> 1) - 1)
         drawn = frozenset(pool[n - k:])
     else:
         # set method: the first k distinct indices, n itself rejected

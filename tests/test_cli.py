@@ -124,6 +124,7 @@ class TestGen:
 
     @pytest.mark.parametrize("flag,value", [
         ("--flows", "0"), ("--tcp-fraction", "2"), ("--duration", "0"),
+        ("--gaps", "poisson:1ms"),
     ])
     def test_value_the_spec_rejects_names_its_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
@@ -157,6 +158,12 @@ class TestSimulate:
         assert main(["simulate", "--trace", trace_path, "--method", "ip-suffix",
                      "--rate", "1/4", "--format", "csv", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0].startswith("src_ip,")
+
+    def test_runtime_failure_is_exit_1_without_a_traceback(self, trace_path, tmp_path, capsys):
+        with mock.patch("ofmon.cli.replay_flows", side_effect=RuntimeError("boom")):
+            assert main(["simulate", "--trace", trace_path, "--method", "hash",
+                         "--rate", "1/8", "--out", str(tmp_path / "r.jsonl")]) == 1
+        assert capsys.readouterr().err == "error: boom\n"
 
     def test_reports_realized_rate(self, trace_path, tmp_path, capsys):
         assert main(["simulate", "--trace", trace_path, "--method", "ip-suffix",

@@ -92,6 +92,16 @@ class TestPacketInHandling:
         with pytest.raises(ControllerStateError):
             ctl.on_packet_in(PacketIn(pkt(ts=1)))
 
+    def test_install_ack_for_a_flow_never_scheduled_is_a_state_error(self):
+        with pytest.raises(ControllerStateError):
+            MonitoringController(cc()).on_flow_mod_installed(flow_key_of(pkt()))
+
+    def test_flow_removed_for_a_wildcard_entry_is_a_state_error(self):
+        wildcard = FlowEntry(match=MatchFields(), priority=FLOW_RECORD_PRIORITY, actions=())
+        with pytest.raises(ControllerStateError, match="not an exact 5-tuple"):
+            MonitoringController(cc()).on_flow_removed(
+                FlowRemoved(entry=wildcard, reason=FlowRemovedReason.IDLE, removal_time_ns=9))
+
     def test_flow_removed_for_unknown_key_is_a_state_error(self):
         ctl = MonitoringController(cc())
         stray = FlowEntry(match=MatchFields.exact(flow_key_of(pkt())),

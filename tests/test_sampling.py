@@ -182,8 +182,9 @@ class TestPortRules:
 
 # random.sample switches from its set method to its pool method at k = 5462
 # for 65,535 ports, and a pool bound's bit length drops below 16 after 32,768
-# draws; the largest k leaves the pool with one port.
-DRAW_EDGES = [1, 5, 6, 5461, 5462, 32767, 32768, 32769, 65534, 65535]
+# draws; 49,152 and 57,344 end the draw exactly where the bound drops to 14
+# and 13 bits; the largest k leaves the pool with one port.
+DRAW_EDGES = [1, 5, 6, 5461, 5462, 32767, 32768, 32769, 49152, 57344, 65534, 65535]
 
 
 def _with_edge_examples(test):

@@ -321,6 +321,8 @@ class TestTimeouts:
         sw.advance_clock(100)
         with pytest.raises(SwitchError):
             sw.advance_clock(99)
+        with pytest.raises(SwitchError):
+            sw.process_packet(pkt(ts=99))
         sw.advance_clock(100)  # same instant is fine
 
 
@@ -340,6 +342,11 @@ class TestGroups:
         with pytest.raises(GroupError):
             sw.install_group(self.group(1, 3))
 
+    @pytest.mark.parametrize("weights", [(), (0,), (1, -2)])
+    def test_group_without_positive_buckets_is_rejected(self, weights):
+        with pytest.raises(GroupError):
+            Switch().install_group(self.group(*weights))
+
     def test_unknown_group_reference_fails_at_packet_time(self):
         sw = Switch()
         sw.install_flow_entry(entry(actions=(Group(77), GotoTable())), install_time_ns=0)
@@ -352,6 +359,13 @@ class TestGroups:
         sw.install_flow_entry(entry(actions=(Group(1), GotoTable())), install_time_ns=0)
         out = sw.process_packet(pkt())
         assert [type(ev) for ev in out] == [PacketIn]
+
+    def test_multi_bucket_group_without_a_selector_fails_at_packet_time(self):
+        sw = Switch()
+        sw.install_group(self.group(1, 1))
+        sw.install_flow_entry(entry(actions=(Group(1), GotoTable())), install_time_ns=0)
+        with pytest.raises(GroupError):
+            sw.process_packet(pkt())
 
     def test_selector_choice_decides_the_bucket(self):
         chosen = {}
