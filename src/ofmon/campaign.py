@@ -380,17 +380,35 @@ def _run_worker_cell(job: tuple):
     return _run_cell(_worker_sizes, job)
 
 
+def _ports_drawn(job: tuple) -> int:
+    """The ports a cell's trials draw, which set its run time; 0 for a cell that draws none."""
+    _, method, mode, rate, trials, _ = job
+    if method is not SamplingMethod.PORT_BASED:
+        return 0
+    cfg = config_for_rate(method, mode, rate)
+    return trials * (cfg.src_size + cfg.dst_size)
+
+
 def _run_cells(sizes: Counter, jobs: list, workers: int):
-    """Run every job; a pool receives the flow table once per worker, not per job."""
+    """Run every job; returns their summaries in job order.
+
+    A pool receives the flow table once per worker, not per job, and takes
+    the cells heaviest first by ports drawn (ties in job order), so the long
+    port cells start at once and the short ones fill in behind them; the
+    order of the summaries does not depend on the order of dispatch.
+    """
     workers = min(workers, len(jobs))  # a pool starts all its processes at once
     if workers <= 1:
         return [_run_cell(sizes, job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
 
+    heaviest_first = sorted(range(len(jobs)), key=lambda i: _ports_drawn(jobs[i]), reverse=True)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(sizes,)
     ) as pool:
-        return list(pool.map(_run_worker_cell, jobs))
+        done = dict(zip(heaviest_first,
+                        pool.map(_run_worker_cell, [jobs[i] for i in heaviest_first])))
+    return [done[i] for i in range(len(jobs))]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
@@ -454,8 +472,9 @@ def make_output_dir(path: str) -> Path:
 def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[str]:
     """Execute every selected experiment; returns the files written.
 
-    Cells (method, mode, rate) may run in a worker pool, but output ordering
-    is fixed by sorting on the cell coordinates, never by completion.
+    Cells (method, mode, rate) may run in a worker pool, which takes them
+    heaviest first by ports drawn, but output ordering is fixed by sorting on
+    the cell coordinates, never by dispatch or completion.
     """
     out = make_output_dir(out_dir)
     trace = config.load_trace()

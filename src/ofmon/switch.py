@@ -281,6 +281,9 @@ class Switch:
             raise GroupError(f"group {group.group_id} has no buckets")
         if any(b.weight <= 0 for b in group.buckets):
             raise GroupError(f"group {group.group_id} has a non-positive bucket weight")
+        if any(type(a) is GotoTable for b in group.buckets for a in b.actions):
+            # the flow entry forwards; a bucket only decides the controller copy
+            raise GroupError(f"group {group.group_id} has a bucket that forwards")
         self._groups[group.group_id] = group
         return group.group_id
 
@@ -346,28 +349,22 @@ class Switch:
         entry.last_match_time_ns = ts
         self.packets_processed += 1
 
-        forwarded = 0
         for act in entry.actions:
             cls = type(act)
             if cls is GotoTable:
                 self.table1_packet_count += 1
                 self.table1_byte_count += pkt.length_bytes
-                forwarded += 1
-                break  # goto ends table-0 processing
+                return events  # goto ends table-0 processing
             if cls is OutputToController:
                 events.append(PacketIn(pkt))
             elif cls is Group:
-                forwarded += self._run_group(act.group_id, pkt, events)
+                self._run_group(act.group_id, pkt, events)
             # Drop: nothing to do
-        if forwarded != 1:
-            raise TableStateError(
-                f"packet at {ts}ns reached the forwarding table {forwarded} times, expected exactly 1"
-            )
-        return events
+        raise TableStateError(f"packet at {ts}ns never reached the forwarding table")
 
     # -- internals ------------------------------------------------------------
 
-    def _run_group(self, group_id: int, pkt: PacketRecord, events: list) -> int:
+    def _run_group(self, group_id: int, pkt: PacketRecord, events: list) -> None:
         group = self._groups.get(group_id)
         if group is None:
             raise GroupError(f"entry references unknown group {group_id}")
@@ -377,16 +374,9 @@ class Switch:
             if self._selector is None:
                 raise GroupError("multi-bucket group used without a bucket selector")
             bucket = group.buckets[self._selector(group, pkt.key)]
-        forwarded = 0
         for act in bucket.actions:
-            cls = type(act)
-            if cls is OutputToController:
+            if type(act) is OutputToController:
                 events.append(PacketIn(pkt))
-            elif cls is GotoTable:
-                self.table1_packet_count += 1
-                self.table1_byte_count += pkt.length_bytes
-                forwarded += 1
-        return forwarded
 
     def _lookup(self, key: FlowKey, ts: int) -> FlowEntry | None:
         """First entry active at ts that matches the flow, in _rank order."""

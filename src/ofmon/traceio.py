@@ -160,15 +160,16 @@ def _parsed_keys(texts: list[str]) -> dict[str, FlowKey] | None:
     check to report or read."""
     if set(map(str.count, texts, repeat(","))) != {4}:
         return None
-    src_ips, dst_ips, src_ports, dst_ports, protos = zip(*map(str.split, texts, repeat(",")))
+    fields = ",".join(texts).split(",")  # five a text, so column i is fields[i::5]
+    src_ports, dst_ports = fields[2::5], fields[3::5]
     digits = "".join(src_ports + dst_ports)
     if not (digits.isdigit() and digits.isascii()):
         return None
     try:
-        src_addrs = list(map(parse_ip, src_ips))
-        dst_addrs = list(map(parse_ip, dst_ips))
+        src_addrs = list(map(parse_ip, fields[0::5]))
+        dst_addrs = list(map(parse_ip, fields[1::5]))
         ports = list(map(int, src_ports + dst_ports))  # an empty port fails here
-        protocols = list(map(_PROTOCOLS.__getitem__, protos))
+        protocols = list(map(_PROTOCOLS.__getitem__, fields[4::5]))
     except (KeyError, ValueError):
         return None
     if max(ports) > 65535:

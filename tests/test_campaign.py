@@ -7,6 +7,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -320,13 +321,14 @@ class TestLoadCampaign:
 
 
 @pytest.fixture()
-def pool_sizes(monkeypatch):
-    """Runs the campaign's process pool in this process; lists the size of each pool."""
-    sizes = []
+def pool(monkeypatch):
+    """Runs the campaign's process pool in this process; lists the size of
+    each pool and the jobs each pool's map receives, in dispatch order."""
+    seen = SimpleNamespace(sizes=[], jobs=[])
 
     class InProcessPool:  # a real pool would start all max_workers processes
         def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
+            seen.sizes.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -336,11 +338,23 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, jobs):
+            seen.jobs.append(list(jobs))
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(campaign, "_worker_sizes", None)
-    return sizes
+    return seen
+
+
+# every kind of cell, the port cells listed last; at 1/4 a port pair cell
+# draws 2 x 32,768 ports a trial, and port source at 1/4 and port pair at
+# 1/64 draw 16,384 each
+ALL_CELL_KINDS = {
+    "sampling": [{"method": "hash"}, {"method": "ip-suffix", "mode": "source"},
+                 {"method": "port", "mode": "source"}, {"method": "port", "mode": "pair"}],
+    "rates": ["1/4", "1/64"],
+    "experiments": ["rate", "wmrd"],
+}
 
 
 class TestRunCampaign:
@@ -380,10 +394,13 @@ class TestRunCampaign:
             assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_worker_pool_does_not_change_the_bytes(self, tmp_path):
-        serial, _ = self.run(tmp_path, "w1")
-        pooled, _ = self.run(tmp_path, "w2", {"workers": 2})
-        for a, b in zip(sorted(serial), sorted(pooled)):
-            assert Path(a).read_bytes() == Path(b).read_bytes()
+        # BASE has no port cell, so only ALL_CELL_KINDS reorders the dispatch
+        for name, overrides in (("base", {}), ("kinds", ALL_CELL_KINDS)):
+            serial, _ = self.run(tmp_path, f"{name}-w1", overrides)
+            pooled, _ = self.run(tmp_path, f"{name}-w2", {**overrides, "workers": 2})
+            assert [Path(a).name for a in sorted(serial)] == [Path(b).name for b in sorted(pooled)]
+            for a, b in zip(sorted(serial), sorted(pooled)):
+                assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_overhead_at_a_rate_below_one_samples_part_of_the_flows(self, tmp_path):
         _, out = self.run(tmp_path, "o", {
@@ -431,22 +448,44 @@ class TestRunCampaign:
         assert list(csv.reader(hard_csv.splitlines()))[1:] == direct
         assert sum(p.redundant_packets for p in points if p.install_delay_ns) == 150
 
-    def test_pool_is_no_larger_than_the_job_list(self, tmp_path, pool_sizes):
+    def test_pool_is_no_larger_than_the_job_list(self, tmp_path, pool):
         serial, _ = self.run(tmp_path, "s", {"experiments": ["rate"]})
         pooled, _ = self.run(tmp_path, "p", {"experiments": ["rate"], "workers": 100_000})
-        assert pool_sizes == [2]  # two cells, so two rate jobs
+        assert pool.sizes == [2]  # two cells, so two rate jobs
         for a, b in zip(sorted(serial), sorted(pooled)):
             assert Path(a).read_bytes() == Path(b).read_bytes()
 
-    def test_one_pool_runs_the_cells_of_every_trial_experiment(self, tmp_path, pool_sizes):
+    def test_one_pool_runs_the_cells_of_every_trial_experiment(self, tmp_path, pool):
         experiments = {"experiments": ["wmrd", "rate"]}
         serial, _ = self.run(tmp_path, "s", experiments)
         lines = []
         cfg = load_campaign(write_config(tmp_path, {**experiments, "workers": 100_000}))
         pooled = run_campaign(cfg, str(tmp_path / "p"), progress=lines.append)
-        assert pool_sizes == [4]  # two cells of each experiment
+        assert pool.sizes == [4]  # two cells of each experiment
         assert lines == ["trace ready: 800 packets", "rate experiment done: 2 cells",
                          "wmrd experiment done: 2 cells"]
+        for a, b in zip(sorted(serial), sorted(pooled)):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_pool_takes_the_cells_that_draw_the_most_ports_first(self, tmp_path, pool):
+        serial, _ = self.run(tmp_path, "s", ALL_CELL_KINDS)
+        pooled, _ = self.run(tmp_path, "p", {**ALL_CELL_KINDS, "workers": 2})
+        dispatched, = pool.jobs
+        # equal costs keep the config order: experiment, then sampling entry, then rate
+        assert [(e, m.value, mo.value, str(r)) for e, m, mo, r, *_ in dispatched] == [
+            ("rate", "port", "pair", "1/4"),
+            ("wmrd", "port", "pair", "1/4"),
+            ("rate", "port", "source", "1/4"),
+            ("rate", "port", "pair", "1/64"),
+            ("wmrd", "port", "source", "1/4"),
+            ("wmrd", "port", "pair", "1/64"),
+            ("rate", "port", "source", "1/64"),
+            ("wmrd", "port", "source", "1/64"),
+            *((experiment, method, "source", rate)
+              for experiment in ("rate", "wmrd")
+              for method in ("hash", "ip-suffix")
+              for rate in ("1/4", "1/64")),
+        ]
         for a, b in zip(sorted(serial), sorted(pooled)):
             assert Path(a).read_bytes() == Path(b).read_bytes()
 

@@ -347,6 +347,12 @@ class TestGroups:
         with pytest.raises(GroupError):
             Switch().install_group(self.group(*weights))
 
+    def test_group_with_a_forwarding_bucket_is_rejected(self):
+        group = GroupEntry(group_id=1, buckets=(Bucket(weight=1, actions=(OutputToController(),)),
+                                                Bucket(weight=1, actions=GOTO)))
+        with pytest.raises(GroupError):
+            Switch().install_group(group)
+
     def test_unknown_group_reference_fails_at_packet_time(self):
         sw = Switch()
         sw.install_flow_entry(entry(actions=(Group(77), GotoTable())), install_time_ns=0)
