@@ -15,22 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .model import (
-    ExpiryReason,
-    FlowKey,
-    FlowRecord,
-    Protocol,
-    format_ip,
-)
-from .switch import (
-    FLOW_RECORD_PRIORITY,
-    FlowEntry,
-    FlowRemoved,
-    FlowRemovedReason,
-    GotoTable,
-    MatchFields,
-    PacketIn,
-)
+from .model import FlowKey, FlowRecord, FlowRemovedReason, Protocol, format_ip
+from .switch import FLOW_RECORD_PRIORITY, FlowEntry, FlowRemoved, GotoTable, MatchFields, PacketIn
 
 DEFAULT_IDLE_TIMEOUT_NS = 15_000_000_000
 EXPORT_FIELDS = (
@@ -47,15 +33,13 @@ EXPORT_FIELDS = (
     "expiry",
 )
 
-_REASON_MAP = {
-    FlowRemovedReason.IDLE: ExpiryReason.IDLE_TIMEOUT,
-    FlowRemovedReason.HARD: ExpiryReason.HARD_TIMEOUT,
-    FlowRemovedReason.DELETE: ExpiryReason.END_OF_TRACE,
-}
-
-
 _PROTOCOL_NAMES = {protocol: protocol.name for protocol in Protocol}
-_WIRE_REASONS = {reason: reason.value for reason in ExpiryReason}
+# a record's "expiry" field; an entry drained at the end of the trace is "eot"
+_WIRE_REASONS = {
+    FlowRemovedReason.IDLE: "idle",
+    FlowRemovedReason.HARD: "hard",
+    FlowRemovedReason.DELETE: "eot",
+}
 _EXPORT_ORDER = itemgetter(1, 0)  # (first_seen_ns, key)
 
 
@@ -105,7 +89,7 @@ def merge_record(
         entry_packets + view.packets,
         entry_bytes + view.bytes,
         view.packets,
-        _REASON_MAP[reason],
+        reason,
     )
 
 
@@ -218,7 +202,7 @@ def record_to_dict(record: FlowRecord) -> dict:
         "packets": record.packet_count,
         "bytes": record.byte_count,
         "controller_packets": record.controller_packet_count,
-        "expiry": record.expiry_reason.value,
+        "expiry": _WIRE_REASONS[record.expiry_reason],
     }
 
 

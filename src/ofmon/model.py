@@ -14,12 +14,12 @@ class Protocol(enum.IntEnum):
     UDP = 17
 
 
-class ExpiryReason(enum.Enum):
-    """Why a flow record was closed."""
+class FlowRemovedReason(enum.Enum):
+    """Why a record entry left the switch, and so why its flow record closed."""
 
-    IDLE_TIMEOUT = "idle"
-    HARD_TIMEOUT = "hard"
-    END_OF_TRACE = "eot"
+    IDLE = "idle"
+    HARD = "hard"
+    DELETE = "delete"  # explicit removal, e.g. the end-of-trace drain
 
 
 class FlowKey(NamedTuple):
@@ -69,7 +69,7 @@ class FlowRecord(NamedTuple):
     packet_count: int
     byte_count: int
     controller_packet_count: int
-    expiry_reason: ExpiryReason
+    expiry_reason: FlowRemovedReason
 
 
 def check_seed(seed: int) -> int:

@@ -3,8 +3,9 @@
 `Simulation` is the packet-level reference: one switch, one controller, one
 virtual clock.  Scheduled entry installs are interleaved with trace packets
 in timestamp order; an install due at the same instant as a packet applies
-first, so the packet already matches the new entry.  Every install waits the
-same delay and packets never go back in time, so installs come due in the
+first, so the packet already matches the new entry, and one due by the last
+packet's instant applies before the end-of-trace drain.  Every install waits
+the same delay and packets never go back in time, so installs come due in the
 order they were requested and wait in a FIFO.
 
 `replay_flows` gives the same result without the switch, and is what
@@ -91,9 +92,10 @@ class Simulation:
         seen: set[FlowKey] = set()
         last_ts = 0
 
-        for pkt in trace:
-            ts = pkt.timestamp_ns
-            while pending_mods and pending_mods[0].execute_at_ns <= ts:
+        def install_due(now: int) -> None:
+            """Apply, in request order, every install due by `now`."""
+            nonlocal installs, peak
+            while pending_mods and pending_mods[0].execute_at_ns <= now:
                 mod = pending_mods.popleft()
                 # evict first, so the occupancy below counts live entries only
                 for event in switch.advance_clock(mod.execute_at_ns):
@@ -104,6 +106,10 @@ class Simulation:
                 occupancy = switch.active_entry_count(FLOW_RECORD_PRIORITY)
                 if occupancy > peak:
                     peak = occupancy
+
+        for pkt in trace:
+            ts = pkt.timestamp_ns
+            install_due(ts)
             seen.add(pkt.key)
             for event in switch.process_packet(pkt):
                 if type(event) is PacketIn:
@@ -114,6 +120,7 @@ class Simulation:
                     controller.on_flow_removed(event)
             last_ts = ts
 
+        install_due(last_ts)
         for event in switch.flush_all(last_ts):
             controller.on_flow_removed(event)
         controller.finalize_pending()
@@ -149,7 +156,6 @@ class SampledFlows(NamedTuple):
     flows: dict[FlowKey, list[int]]
     flows_seen: int
     last_ns: int  # the last packet's timestamp; 0 for an empty trace
-    last_key: FlowKey | None  # the last packet's key
 
 
 def sample_flows(trace: Iterable[PacketRecord], rule_set: RuleSet) -> SampledFlows:
@@ -158,7 +164,6 @@ def sample_flows(trace: Iterable[PacketRecord], rule_set: RuleSet) -> SampledFlo
     is_sampled = key_sampler(rule_set)
     groups: dict[FlowKey, list[int] | bool] = {}  # every key seen; False when not sampled
     ts = 0  # the switch clock starts at 0 too
-    key = None
     for now, key, length in trace:
         if now < ts:
             raise ValueError(f"packet timestamp {now} behind the previous one, {ts}")
@@ -169,7 +174,7 @@ def sample_flows(trace: Iterable[PacketRecord], rule_set: RuleSet) -> SampledFlo
         elif packets is None:
             groups[key] = is_sampled(key) and [now, length]
     flows = {k: packets for k, packets in groups.items() if packets}
-    return SampledFlows(flows, len(groups), ts, key)
+    return SampledFlows(flows, len(groups), ts)
 
 
 def replay_sampled(
@@ -188,10 +193,7 @@ def replay_sampled(
     - an entry is gone for a packet strictly after its `expiry_of` instant,
       and that packet requests a new one;
     - an entry still unexpired at the last packet's timestamp ends the trace
-      as `eot`;
-    - an install is applied when a later packet reaches its instant, so the
-      one the very last packet requests at delay 0 never is: that record
-      comes from the controller alone.
+      as `eot`.
 
     Records come flow by flow, each flow's in time order.  With
     `records=False` the walk keeps only the counters: the result has no
@@ -199,7 +201,7 @@ def replay_sampled(
     """
     cfg = controller_config or ControllerConfig()
     delay, idle, hard = cfg.install_delay_ns, cfg.idle_timeout_ns, cfg.hard_timeout_ns
-    end, last_key = sampled.last_ns, sampled.last_key
+    end = sampled.last_ns
     closed: list[FlowRecord] = []
     record = closed.append
     starts: list[int] = []  # install and expiry instants of every applied install
@@ -240,7 +242,7 @@ def replay_sampled(
             seen, seen_bytes = 1, length
             install = last_match = ts + delay
             matched = matched_bytes = 0
-        installed = install <= end and (matched > 0 or key != last_key)
+        installed = install <= end
         installs += installed
         if records:
             reason = FlowRemovedReason.DELETE  # drained, or never installed

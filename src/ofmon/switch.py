@@ -14,13 +14,12 @@ so results do not depend on how often the clock happens to advance.
 """
 
 import bisect
-import enum
 import heapq
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .model import FlowKey, PacketRecord, Protocol
+from .model import FlowKey, FlowRemovedReason, PacketRecord, Protocol
 
 FLOW_RECORD_PRIORITY = 3000  # block 1: per-flow record entries
 SAMPLING_PRIORITY = 2000     # block 2: sampling decision entries
@@ -165,12 +164,6 @@ class GroupEntry:
 @dataclass(frozen=True, slots=True)
 class PacketIn:
     packet: PacketRecord
-
-
-class FlowRemovedReason(enum.Enum):
-    IDLE = "idle"
-    HARD = "hard"
-    DELETE = "delete"  # explicit removal, e.g. the end-of-trace drain
 
 
 @dataclass(frozen=True, slots=True)

@@ -76,7 +76,8 @@ class TestParseRate:
     @pytest.mark.parametrize("bad", ["0", "-1/2", "3/2", "1/0", "abc", "1e-999999999",
                                      "1e-3000000", "0e999999999", "1E-999_999_999",
                                      "1e-\uff19\uff19\uff19\uff19\uff19\uff19", "1e-4300",
-                                     "\u0661/\u0666\u0664", "1_0/640", " 1/8 ", "1/8\n"])
+                                     "\u0661/\u0666\u0664", "1_0/640", " 1/8 ", "1/8\n",
+                                     "1e1.5", "1e"])
     def test_rejected_forms(self, bad):
         with pytest.raises(ConfigError, match="rate"):
             parse_rate(bad)

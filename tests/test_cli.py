@@ -124,7 +124,7 @@ class TestGen:
 
     @pytest.mark.parametrize("flag,value", [
         ("--flows", "0"), ("--tcp-fraction", "2"), ("--duration", "0"),
-        ("--gaps", "poisson:1ms"),
+        ("--gaps", "poisson:1ms"), ("--ips", "zipf"), ("--ports", "pareto:1"),
     ])
     def test_value_the_spec_rejects_names_its_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"

@@ -16,14 +16,13 @@ from ofmon.controller import (
     export_records,
     record_to_dict,
 )
-from ofmon.model import ExpiryReason, FlowKey, FlowRecord, Protocol, flow_key_of, format_ip
+from ofmon.model import FlowKey, FlowRecord, FlowRemovedReason, Protocol, flow_key_of, format_ip
 from ofmon.sampling import SamplingConfig, SamplingMethod, generate_rules
 from ofmon.simulate import replay, replay_flows
 from ofmon.switch import (
     FLOW_RECORD_PRIORITY,
     FlowEntry,
     FlowRemoved,
-    FlowRemovedReason,
     MatchFields,
     PacketIn,
 )
@@ -149,7 +148,7 @@ class TestRecordAccounting:
         assert rec.byte_count == 77
         assert rec.controller_packet_count == 1
         assert rec.first_seen_ns == rec.last_seen_ns == 0
-        assert rec.expiry_reason is ExpiryReason.IDLE_TIMEOUT
+        assert rec.expiry_reason is FlowRemovedReason.IDLE
 
     def test_hard_timeout_splits_a_long_flow(self, run):
         s = 1_000 * MS
@@ -157,7 +156,7 @@ class TestRecordAccounting:
         result = run(trace, RATE_ONE, cc(delay=0, idle=15 * s, hard=30 * s))
         recs = sorted(result.records, key=lambda r: r.first_seen_ns)
         assert len(recs) == 2
-        assert recs[0].expiry_reason is ExpiryReason.HARD_TIMEOUT
+        assert recs[0].expiry_reason is FlowRemovedReason.HARD
         assert recs[0].first_seen_ns == 0
         assert recs[0].last_seen_ns == 30 * s
         assert recs[0].packet_count == 4
@@ -170,7 +169,7 @@ class TestRecordAccounting:
         trace = [pkt(ts=0, length=10), pkt(ts=1 * MS, length=20)]
         result = run(trace, RATE_ONE, cc(delay=500 * MS))
         (rec,) = result.records
-        assert rec.expiry_reason is ExpiryReason.END_OF_TRACE
+        assert rec.expiry_reason is FlowRemovedReason.DELETE
         assert rec.packet_count == 2
         assert rec.byte_count == 30
         assert rec.controller_packet_count == 2
@@ -199,24 +198,37 @@ class TestRecordAccounting:
         result = run(trace, RATE_ONE, cc(delay=2 * MS, idle=1 * MS))
         assert result.entries_installed == 2
         assert result.peak_record_entries == 1
-        # A's entry still matches at its expiry instant, when B's is installed
+        # A's entry still matches at its expiry instant, when B's is installed;
+        # C's is installed at the last instant, after both have gone
         trace = [pkt(ts=0), pkt(ts=1 * MS, sport=2), pkt(ts=5 * MS, sport=3)]
         result = run(trace, RATE_ONE, cc(delay=0, idle=1 * MS))
-        assert result.entries_installed == 2
+        assert result.entries_installed == 3
         assert result.peak_record_entries == 2
 
-    def test_install_the_last_packet_requests_at_delay_0_is_never_applied(self, run):
+    def test_install_due_at_the_last_packet_applies_before_the_drain(self, run):
         # the first entry idles out at 10 ms; the packet at 20 ms asks for a
-        # second one, due at 20 ms, but no later packet applies it
+        # second one, due at 20 ms, which is installed and drained unmatched,
+        # so its record is the controller's view alone
         trace = [pkt(ts=0, length=60), pkt(ts=20 * MS, length=40)]
         result = run(trace, RATE_ONE, cc(delay=0, idle=10 * MS))
         first, last = sorted(result.records, key=lambda r: r.first_seen_ns)
-        assert first.expiry_reason is ExpiryReason.IDLE_TIMEOUT
+        assert first.expiry_reason is FlowRemovedReason.IDLE
         assert (first.packet_count, first.controller_packet_count) == (1, 1)
-        assert last.expiry_reason is ExpiryReason.END_OF_TRACE
+        assert last.expiry_reason is FlowRemovedReason.DELETE
         assert (last.first_seen_ns, last.byte_count, last.controller_packet_count) == (
             20 * MS, 40, 1)
-        assert result.entries_installed == 1
+        assert result.entries_installed == 2
+
+    def test_flows_opening_together_at_the_last_instant_all_install(self, run):
+        # B and C open at the last instant: both installs are due by it, the
+        # one C's packet requests as much as the one B's packet does
+        trace = [pkt(ts=0), pkt(ts=10, sport=2), pkt(ts=10, sport=3)]
+        result = run(trace, RATE_ONE, cc(delay=0))
+        assert result.entries_installed == 3
+        assert result.peak_record_entries == 3
+        assert sorted((r.key.src_port, r.packet_count, r.controller_packet_count, r.expiry_reason)
+                      for r in result.records) == [
+            (sport, 1, 1, FlowRemovedReason.DELETE) for sport in (2, 3, 1234)]
 
     def test_per_flow_replay_rejects_a_trace_out_of_time_order(self):
         with pytest.raises(ValueError, match="behind"):
@@ -231,7 +243,7 @@ class TestFinalizePending:
         ctl.on_packet_in(PacketIn(pkt(ts=5 * MS, length=40)))
         records = ctl.finalize_pending()
         (rec,) = records
-        assert rec.expiry_reason is ExpiryReason.END_OF_TRACE
+        assert rec.expiry_reason is FlowRemovedReason.DELETE
         assert rec.packet_count == 2
         assert rec.byte_count == 100
         assert rec.controller_packet_count == 2
@@ -297,16 +309,16 @@ edge_records = st.builds(
     st.builds(FlowKey, edged(0, ADDRESS_MAX), edged(0, ADDRESS_MAX), edged(0, 65535),
               edged(0, 65535), st.sampled_from(list(Protocol))),
     edged(0, NS_MAX), edged(0, NS_MAX), edged(0, NS_MAX), edged(0, NS_MAX), edged(0, NS_MAX),
-    st.sampled_from(list(ExpiryReason)),
+    st.sampled_from(list(FlowRemovedReason)),
 )
-LOWEST = FlowRecord(FlowKey(0, 0, 0, 0, Protocol.TCP), 0, 0, 0, 0, 0, ExpiryReason.IDLE_TIMEOUT)
+LOWEST = FlowRecord(FlowKey(0, 0, 0, 0, Protocol.TCP), 0, 0, 0, 0, 0, FlowRemovedReason.IDLE)
 HIGHEST = FlowRecord(FlowKey(ADDRESS_MAX, ADDRESS_MAX, 65535, 65535, Protocol.UDP),
-                     NS_MAX, NS_MAX, NS_MAX, NS_MAX, NS_MAX, ExpiryReason.END_OF_TRACE)
+                     NS_MAX, NS_MAX, NS_MAX, NS_MAX, NS_MAX, FlowRemovedReason.DELETE)
 
 
 @settings(max_examples=200, deadline=None)
 @given(records=st.lists(edge_records, max_size=8))
-@example(records=[HIGHEST, LOWEST, LOWEST._replace(expiry_reason=ExpiryReason.HARD_TIMEOUT)])
+@example(records=[HIGHEST, LOWEST, LOWEST._replace(expiry_reason=FlowRemovedReason.HARD)])
 def test_jsonl_line_is_the_json_dumps_line(records):
     sink = io.StringIO()
     assert export_records(records, sink, fmt="jsonl") == len(records)
@@ -319,7 +331,7 @@ def test_jsonl_line_is_the_json_dumps_line(records):
 @settings(max_examples=200, deadline=None)
 @given(records=st.lists(edge_records, max_size=8))
 @example(records=[])
-@example(records=[HIGHEST, LOWEST, LOWEST._replace(expiry_reason=ExpiryReason.HARD_TIMEOUT)])
+@example(records=[HIGHEST, LOWEST, LOWEST._replace(expiry_reason=FlowRemovedReason.HARD)])
 def test_csv_file_is_the_dict_writer_file(records):
     sink, expected = io.StringIO(), io.StringIO()
     assert export_records(records, sink, fmt="csv") == len(records)

@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofmon.controller import ControllerConfig
@@ -324,21 +324,29 @@ def _ordered(records):
     return sorted(records, key=lambda r: (r.first_seen_ns, r.key))
 
 
+@st.composite
+def replay_cases(draw):
+    """A controller config, a bursty trace, and a sampling config to replay it
+    with."""
+    idle = draw(st.integers(1, 10)) * MS
+    tick = draw(st.sampled_from([1, MS]))
+    delay = draw(st.integers(0, 20)) * MS
+    hard_ticks = draw(st.one_of(st.just(0), st.integers(idle // tick, 4 * idle // tick)))
+    controller = ControllerConfig(install_delay_ns=delay, idle_timeout_ns=idle,
+                                  hard_timeout_ns=hard_ticks * tick)
+    trace = draw(bursty_trace(idle, tick))
+    method, mode = draw(st.sampled_from(CELLS))
+    rate = draw(st.sampled_from(REPLAY_RATES))
+    return controller, trace, config_for_rate(method, mode, rate, draw(st.integers(0, 2**64 - 1)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_per_flow_replay_equals_the_packet_replay(data):
-    idle = data.draw(st.integers(1, 10), label="idle_ms") * MS
-    tick = data.draw(st.sampled_from([1, MS]), label="tick_ns")
-    controller = ControllerConfig(
-        install_delay_ns=data.draw(st.integers(0, 20), label="delay_ms") * MS,
-        idle_timeout_ns=idle,
-        hard_timeout_ns=data.draw(st.one_of(st.just(0), st.integers(idle // tick, 4 * idle // tick)),
-                                  label="hard_ticks") * tick,
-    )
-    trace = data.draw(bursty_trace(idle, tick), label="trace")
-    method, mode = data.draw(st.sampled_from(CELLS), label="cell")
-    rate = data.draw(st.sampled_from(REPLAY_RATES), label="rate")
-    cfg = config_for_rate(method, mode, rate, data.draw(st.integers(0, 2**64 - 1), label="seed"))
+@given(case=replay_cases())
+# the last two packets open flows at one instant, at delay 0
+@example(case=(ControllerConfig(idle_timeout_ns=MS),
+               [pkt(ts=0), pkt(ts=10 * MS, sport=2), pkt(ts=10 * MS, sport=3)], RATE_ONE))
+def test_per_flow_replay_equals_the_packet_replay(case):
+    controller, trace, cfg = case
     sim = Simulation(cfg, controller)
     removed = []
 
@@ -350,15 +358,13 @@ def test_per_flow_replay_equals_the_packet_replay(data):
     expected = sim.run(trace)
     got = replay_flows(trace, generate_rules(cfg), controller)
 
-    assert _ordered(got.records) == _ordered(expected.records)
-    assert got.redundant_packets_by_protocol == expected.redundant_packets_by_protocol
-    assert got.redundant_bytes_by_protocol == expected.redundant_bytes_by_protocol
-    assert got.entries_installed == expected.entries_installed == len(removed)
-    assert (got.flows_seen, got.flows_sampled) == (expected.flows_seen, expected.flows_sampled)
+    assert replace(got, records=_ordered(got.records)) == replace(
+        expected, records=_ordered(expected.records))
+    assert expected.entries_installed == len(removed)
     # brute force: the most entries live (install <= t <= expiry) at any install instant
     lifetimes = [(e.entry.install_time_ns, e.removal_time_ns) for e in removed]
     peak = max((sum(s <= t <= end for s, end in lifetimes) for t, _ in lifetimes), default=0)
-    assert got.peak_record_entries == expected.peak_record_entries == peak
+    assert expected.peak_record_entries == peak
 
 
 def _replayed_trials(trace, method, mode, rate, trials, seed, controller, metric):

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ofmon.controller import record_to_dict
 from ofmon.model import (
-    ExpiryReason,
     FlowKey,
     FlowRecord,
+    FlowRemovedReason,
     Protocol,
     flow_key_of,
     format_ip,
@@ -119,7 +120,7 @@ def test_flow_record_is_immutable():
         packet_count=2,
         byte_count=200,
         controller_packet_count=1,
-        expiry_reason=ExpiryReason.IDLE_TIMEOUT,
+        expiry_reason=FlowRemovedReason.IDLE,
     )
     with pytest.raises(AttributeError):
         rec.packet_count = 3
@@ -127,7 +128,9 @@ def test_flow_record_is_immutable():
 
 
 def test_expiry_reason_wire_values_are_stable():
-    # these strings appear in exported files, so they must not drift
-    assert ExpiryReason.IDLE_TIMEOUT.value == "idle"
-    assert ExpiryReason.HARD_TIMEOUT.value == "hard"
-    assert ExpiryReason.END_OF_TRACE.value == "eot"
+    # a reason's value names a removal event, and its export string appears
+    # in record files; neither may drift
+    assert [reason.value for reason in FlowRemovedReason] == ["idle", "hard", "delete"]
+    rec = FlowRecord(flow_key_of(pkt()), 0, 0, 1, 100, 1, FlowRemovedReason.IDLE)
+    assert [record_to_dict(rec._replace(expiry_reason=reason))["expiry"]
+            for reason in FlowRemovedReason] == ["idle", "hard", "eot"]

@@ -294,6 +294,17 @@ class TestTimeouts:
         assert events[0].reason is FlowRemovedReason.HARD
         assert events[0].removal_time_ns == 7_000
 
+    def test_replaced_entry_leaves_no_expiry_behind(self):
+        sw = switch_with_default()
+        p = pkt(ts=0)
+        old = self.idle_entry(sw, p, idle_ns=10_000)
+        sw.advance_clock(5_000)
+        new = self.idle_entry(sw, p, idle_ns=10_000, install=5_000)  # same match and priority
+        assert sw.get_entry(old) is None
+        assert sw.advance_clock(12_000) == []  # past the old entry's expiry instant
+        events = sw.advance_clock(15_001)
+        assert [(ev.entry.entry_id, ev.removal_time_ns) for ev in events] == [(new, 15_000)]
+
     def test_no_event_without_the_flag(self):
         sw = switch_with_default()
         p = pkt(ts=0)
