@@ -140,6 +140,8 @@ def _ms_to_ns(value, where: str, **bounds) -> int:
         ns = _NS_LIMIT
     if not -_NS_LIMIT <= ns < _NS_LIMIT:
         raise _invalid(where, f"{ms} ms is out of range")
+    if ms > 0 and not ns:
+        raise _invalid(where, f"{ms} ms rounds to 0 ns")
     return ns
 
 
@@ -478,6 +480,8 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
     """
     out = make_output_dir(out_dir)
     trace = config.load_trace()
+    if not trace and "wmrd" in config.experiments:  # only a csv trace can be empty
+        raise _invalid("trace/csv", f"{config.trace_path} holds no packets, and wmrd needs some")
     progress(f"trace ready: {len(trace)} packets")
     written: list[str] = []
 

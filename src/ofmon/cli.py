@@ -50,12 +50,19 @@ def ascii_float(text: str) -> float:
 
 
 def parse_duration_ns(text: str) -> int:
-    """'15s', '30ms', '100us', '250000ns' (bare numbers mean ns) -> int ns, exactly."""
+    """'15s', '30ms', '100us', '250000ns' (bare numbers mean ns) -> int ns, exactly.
+
+    A duration above 0 that rounds to 0 ns is rejected.
+    """
     m = _DURATION_RE.fullmatch(text)
     if not m:
         raise ConfigError(f"bad duration {text!r} (use e.g. 15s, 30ms, 100us)")
     value, unit = m.groups()
-    return round(Fraction(value) * _DURATION_NS[unit or "ns"])
+    exact = Fraction(value) * _DURATION_NS[unit or "ns"]
+    ns = round(exact)
+    if exact and not ns:
+        raise ConfigError(f"duration {text!r} rounds to 0 ns")
+    return ns
 
 
 def _parse_sizes(token: str):

@@ -1,14 +1,15 @@
 """Reactive monitoring controller.
 
-First packet of a sampled flow arrives as a PacketIn; the controller asks for
-an exact-match record entry that becomes active only after the configured
-install delay.  Every further PacketIn inside that window is redundant load
-and gets counted as such.  The controller keeps one view per flow, the
-packets it saw directly, from the first PacketIn until the flow's record:
-pending while the entry is in flight, active once it is installed.  When the
-switch evicts the entry, or the trace ends before it was installed, that view
-and the entry counters merge into one flow record.  `merge_record` is that
-merge's one rule; the per-flow replay applies it too.
+First packet of a sampled flow arrives as a PacketIn; the controller answers
+with an exact-match record entry, dated the instant it becomes active: the
+PacketIn's timestamp plus the configured install delay.  Every further
+PacketIn before that instant is redundant load and gets counted as such; one
+at or after it means the switch and controller disagree.  The controller
+keeps one view per open flow, the packets it saw directly, from the first
+PacketIn until the switch removes the entry: evicted on a timeout, or drained
+at the end of the trace, installed or not.  That FlowRemoved is the one way a
+record closes: the view and the entry counters merge into one flow record.
+`merge_record` is that merge's one rule; the per-flow replay applies it too.
 """
 
 from collections import Counter
@@ -98,7 +99,6 @@ class ScheduledFlowMod:
     """Entry install request taking effect at execute_at_ns."""
 
     execute_at_ns: int
-    key: FlowKey
     entry: FlowEntry
 
 
@@ -108,8 +108,8 @@ class MonitoringController:
     def __init__(self, config: ControllerConfig):
         self.config = config
         self.records: list[FlowRecord] = []
-        self._pending: dict[FlowKey, FlowView] = {}  # record entry still in flight
-        self._active: dict[FlowKey, FlowView] = {}  # record entry installed
+        # open flows: the controller's view, and its record entry's install instant
+        self._open: dict[FlowKey, tuple[FlowView, int]] = {}
         # aggregate redundant load per transport protocol, for overhead curves
         self.redundant_packets_by_protocol: Counter[Protocol] = Counter()
         self.redundant_bytes_by_protocol: Counter[Protocol] = Counter()
@@ -118,25 +118,29 @@ class MonitoringController:
         """Handle a controller copy of a packet.
 
         First sighting of a flow returns the install request for its record
-        entry (to be applied install_delay later); repeats within the install
-        window only bump the redundancy counters.  A PacketIn for a flow
-        whose entry is already active means events were fed out of order.
+        entry, active install_delay later; repeats before then only bump the
+        redundancy counters.  A PacketIn at or after the flow's install
+        instant means events were fed out of order.
         """
         pkt = event.packet
         key = pkt.key
-        if key in self._active:
-            raise ControllerStateError(
-                f"packet-in for flow {key} which already has an active record entry"
-            )
-        view = self._pending.get(key)
-        if view is not None:
+        ts = pkt.timestamp_ns
+        opened = self._open.get(key)
+        if opened is not None:
+            view, install_ns = opened
+            if ts >= install_ns:
+                raise ControllerStateError(
+                    f"packet-in for flow {key} at {ts}ns, when its record entry is active"
+                    f" since {install_ns}ns"
+                )
             view.packets += 1
             view.bytes += pkt.length_bytes
-            view.last_seen_ns = pkt.timestamp_ns
+            view.last_seen_ns = ts
             self.redundant_packets_by_protocol[key.protocol] += 1
             self.redundant_bytes_by_protocol[key.protocol] += pkt.length_bytes
             return None
-        self._pending[key] = FlowView(pkt.timestamp_ns, pkt.timestamp_ns, 1, pkt.length_bytes)
+        install_ns = ts + self.config.install_delay_ns
+        self._open[key] = FlowView(ts, ts, 1, pkt.length_bytes), install_ns
         entry = FlowEntry(
             match=MatchFields.exact(key),
             priority=FLOW_RECORD_PRIORITY,
@@ -145,49 +149,29 @@ class MonitoringController:
             hard_timeout_ns=self.config.hard_timeout_ns,
             send_flow_removed=True,
         )
-        return ScheduledFlowMod(
-            execute_at_ns=pkt.timestamp_ns + self.config.install_delay_ns,
-            key=key,
-            entry=entry,
-        )
-
-    def on_flow_mod_installed(self, key: FlowKey) -> None:
-        """Acknowledge that the scheduled entry for `key` is now in the table."""
-        view = self._pending.pop(key, None)
-        if view is None:
-            raise ControllerStateError(f"install acknowledged for unknown flow {key}")
-        self._active[key] = view
+        return ScheduledFlowMod(execute_at_ns=install_ns, entry=entry)
 
     def on_flow_removed(self, event: FlowRemoved) -> FlowRecord:
-        """Close the record for an evicted entry, merging both counter views."""
+        """Close the record for a removed entry, merging both counter views.
+
+        An entry drained before its install instant never matched, so its
+        record is the controller's view alone.
+        """
         key = event.entry.match.exact_key()
         if key is None:
             raise ControllerStateError(
                 f"record entry match is not an exact 5-tuple: {event.entry.match}"
             )
-        view = self._active.pop(key, None)
-        if view is None:
+        opened = self._open.pop(key, None)
+        if opened is None:
             raise ControllerStateError(f"flow-removed for flow {key} this controller does not own")
         entry = event.entry
         record = merge_record(
-            key, view, entry.packet_count, entry.byte_count, entry.last_match_time_ns, event.reason
+            key, opened[0], entry.packet_count, entry.byte_count, entry.last_match_time_ns,
+            event.reason,
         )
         self.records.append(record)
         return record
-
-    def finalize_pending(self) -> list[FlowRecord]:
-        """Close flows whose entry never made it in before the trace ended.
-
-        Every packet of such a flow went to the controller, so the record is
-        complete from the controller's view alone.
-        """
-        out = [
-            merge_record(key, view, 0, 0, view.last_seen_ns, FlowRemovedReason.DELETE)
-            for key, view in sorted(self._pending.items())
-        ]
-        self._pending.clear()
-        self.records.extend(out)
-        return out
 
 
 def record_to_dict(record: FlowRecord) -> dict:

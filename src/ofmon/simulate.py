@@ -1,12 +1,12 @@
 """Trace replay, two ways, with one result.
 
 `Simulation` is the packet-level reference: one switch, one controller, one
-virtual clock.  Scheduled entry installs are interleaved with trace packets
-in timestamp order; an install due at the same instant as a packet applies
-first, so the packet already matches the new entry, and one due by the last
-packet's instant applies before the end-of-trace drain.  Every install waits
-the same delay and packets never go back in time, so installs come due in the
-order they were requested and wait in a FIFO.
+virtual clock.  The switch hands each sampled flow's first packet to the
+controller, and the entry it asks for goes into the table at once, dated its
+install instant; the switch ignores an entry until that instant, so the
+packets in between reach the controller as redundant PacketIns.  An entry
+still in flight when the trace ends is drained with the rest, unmatched: an
+entry counts as installed iff it is dated by the last packet's instant.
 
 `replay_flows` gives the same result without the switch, and is what
 `ofmon simulate`, the overhead sweep and the record export run.  A record
@@ -26,19 +26,17 @@ Identical (trace, config, seed) input replays to identical output, always.
 """
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .controller import (
-    ControllerConfig, FlowView, MonitoringController, ScheduledFlowMod, merge_record
-)
+from .controller import ControllerConfig, FlowView, MonitoringController, merge_record
 from .model import FlowKey, FlowRecord, PacketRecord
 from .sampling import RuleSet, SamplingConfig, generate_rules, key_sampler, select_bucket
 from .switch import (
     DEFAULT_PRIORITY,
-    FLOW_RECORD_PRIORITY,
     FlowEntry,
+    FlowRemoved,
     FlowRemovedReason,
     GotoTable,
     MatchFields,
@@ -86,55 +84,45 @@ class Simulation:
     def run(self, trace: Iterable[PacketRecord]) -> SimulationResult:
         switch = self.switch
         controller = self.controller
-        pending_mods: deque[ScheduledFlowMod] = deque()
-        installs = 0
-        peak = 0
         seen: set[FlowKey] = set()
+        removed: list[FlowRemoved] = []
         last_ts = 0
-
-        def install_due(now: int) -> None:
-            """Apply, in request order, every install due by `now`."""
-            nonlocal installs, peak
-            while pending_mods and pending_mods[0].execute_at_ns <= now:
-                mod = pending_mods.popleft()
-                # evict first, so the occupancy below counts live entries only
-                for event in switch.advance_clock(mod.execute_at_ns):
-                    controller.on_flow_removed(event)
-                switch.install_flow_entry(mod.entry, mod.execute_at_ns)
-                controller.on_flow_mod_installed(mod.key)
-                installs += 1
-                occupancy = switch.active_entry_count(FLOW_RECORD_PRIORITY)
-                if occupancy > peak:
-                    peak = occupancy
-
         for pkt in trace:
-            ts = pkt.timestamp_ns
-            install_due(ts)
             seen.add(pkt.key)
             for event in switch.process_packet(pkt):
                 if type(event) is PacketIn:
                     mod = controller.on_packet_in(event)
                     if mod is not None:
-                        pending_mods.append(mod)
+                        switch.install_flow_entry(mod.entry, mod.execute_at_ns)
                 else:
+                    removed.append(event)
                     controller.on_flow_removed(event)
-            last_ts = ts
+            last_ts = pkt.timestamp_ns
 
-        install_due(last_ts)
-        for event in switch.flush_all(last_ts):
+        drained = switch.flush_all(last_ts)
+        for event in drained:
             controller.on_flow_removed(event)
-        controller.finalize_pending()
-
+        installed = [e for e in removed + drained if e.entry.install_time_ns <= last_ts]
         records = controller.records
         return SimulationResult(
             records=records,
             flows_seen=len(seen),
             flows_sampled=len({r.key for r in records}),
-            entries_installed=installs,
-            peak_record_entries=peak,
+            entries_installed=len(installed),
+            peak_record_entries=_peak_live(
+                [e.entry.install_time_ns for e in installed], [e.removal_time_ns for e in installed]
+            ),
             redundant_packets_by_protocol=controller.redundant_packets_by_protocol,
             redundant_bytes_by_protocol=controller.redundant_bytes_by_protocol,
         )
+
+
+def _peak_live(starts: list[int], ends: list[int]) -> int:
+    """The most entries live (install <= t <= end) at any install instant t,
+    given each entry's install and end instants; sorts both lists."""
+    starts.sort()
+    ends.sort()
+    return max((n - bisect_left(ends, t) for n, t in enumerate(starts, 1)), default=0)
 
 
 def replay(
@@ -258,18 +246,12 @@ def replay_sampled(
             redundant_packets[key.protocol] += redundant
             redundant_bytes[key.protocol] += redundant_length
 
-    peak = None
-    if records:
-        # the most entries live (install <= t <= expiry) at an install t
-        ends.sort()
-        starts.sort()
-        peak = max((n - bisect_left(ends, t) for n, t in enumerate(starts, 1)), default=0)
     return SimulationResult(
         records=closed,
         flows_seen=sampled.flows_seen,
         flows_sampled=len(sampled.flows),
         entries_installed=installs,
-        peak_record_entries=peak,
+        peak_record_entries=_peak_live(starts, ends) if records else None,
         redundant_packets_by_protocol=redundant_packets,
         redundant_bytes_by_protocol=redundant_bytes,
     )

@@ -15,7 +15,6 @@ so results do not depend on how often the clock happens to advance.
 
 import bisect
 import heapq
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -220,15 +219,11 @@ class Switch:
         self._expiry_heap: list[tuple[int, int]] = []
         self._clock_ns = 0
         self._next_entry_id = 1
-        self._priority_counts: Counter[int] = Counter()
         self.packets_processed = 0
         self.table1_packet_count = 0
         self.table1_byte_count = 0
 
     # -- queries ------------------------------------------------------------
-
-    def active_entry_count(self, priority: int) -> int:
-        return self._priority_counts[priority]
 
     def get_entry(self, entry_id: int) -> FlowEntry | None:
         return self._entries.get(entry_id)
@@ -256,7 +251,6 @@ class Switch:
         eid = live.entry_id
         self._entries[eid] = live
         self._by_match[(live.match, live.priority)] = eid
-        self._priority_counts[live.priority] += 1
         key = live.match.exact_key()
         index = self._wildcard if key is None else self._exact.setdefault(key, [])
         bisect.insort(index, (_rank(live), live))
@@ -389,7 +383,6 @@ class Switch:
     def _remove_entry(self, eid: int) -> None:
         e = self._entries.pop(eid)
         del self._by_match[(e.match, e.priority)]
-        self._priority_counts[e.priority] -= 1
         key = e.match.exact_key()
         if key is None:
             self._wildcard.remove((_rank(e), e))

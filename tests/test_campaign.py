@@ -226,6 +226,19 @@ class TestLoadCampaign:
         ({"experiments": ["rate", "wmrd", "rate"]}, (), "experiments/2: same as experiments/0"),
         ({"timeouts": {"hard_ms": -1}}, (), "timeouts/hard_ms: "),
         ({"timeouts": {"idle_ms": 100, "hard_ms": 50}}, (), "timeouts: "),
+        # a positive value that rounds to 0 ns
+        ({"timeouts": {"hard_ms": 1e-7}}, (), "timeouts/hard_ms: 1e-07 ms rounds to 0 ns"),
+        ({"timeouts": {"idle_ms": 1e-7}}, (), "timeouts/idle_ms: 1e-07 ms rounds to 0 ns"),
+        ({"trace": {"synthetic": {"flows": 5, "duration_ms": 1e-7}}}, (),
+         "trace/synthetic/duration_ms: 1e-07 ms rounds to 0 ns"),
+        ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "exponential",
+                                                      "mean_ms": 1e-7}}}}, (),
+         "trace/synthetic/gaps/mean_ms: 1e-07 ms rounds to 0 ns"),
+        ({"trace": {"synthetic": {"flows": 5, "gaps": {"kind": "fixed", "gap_ms": 1e-7}}}},
+         (), "trace/synthetic/gaps/gap_ms: 1e-07 ms rounds to 0 ns"),
+        ({"install_delay_ms": 1e-7}, (), "install_delay_ms: 1e-07 ms rounds to 0 ns"),
+        ({"overhead": {"delays_ms": [0, 1e-7]}}, (),
+         "overhead/delays_ms/1: 1e-07 ms rounds to 0 ns"),
         ({"install_delay_ms": 1e308}, (), "install_delay_ms: 1e+308 ms is out of range"),
         ({"overhead": {"delays_ms": [0, 1e303]}}, (), "overhead/delays_ms/1: "),
         # one past the largest millisecond count a signed 64-bit ns clock holds
@@ -302,11 +315,11 @@ class TestLoadCampaign:
          "sampling/2"),
         ({"rates": ["1/4", "0.25"]}, "rates/1"),
         ({"rates": ["1/8", "1/4", "2.5e-1"]}, "rates/2"),
-        # 1e-7 ms rounds to 0 ns
-        ({"overhead": {"delays_ms": [5, 5.0, 0.0000001]}},
+        # 5.0000000001 ms rounds to 5,000,000 ns
+        ({"overhead": {"delays_ms": [5, 5.0, 5.0000000001]}},
          "at overhead/delays_ms/1: same as overhead/delays_ms/0$"),
-        ({"overhead": {"delays_ms": [0, 5, 0.0000001]}},
-         "at overhead/delays_ms/2: same as overhead/delays_ms/0$"),
+        ({"overhead": {"delays_ms": [0, 5, 5.0000000001]}},
+         "at overhead/delays_ms/2: same as overhead/delays_ms/1$"),
     ])
     def test_a_repeated_cell_coordinate_names_its_path(self, tmp_path, overrides, where):
         with pytest.raises(ConfigError, match=where):
@@ -376,6 +389,13 @@ class TestRunCampaign:
         }
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == sorted(names - {"manifest.json"})
+
+    def test_an_empty_csv_trace_under_wmrd_is_named_before_any_cell_runs(self, tmp_path):
+        (tmp_path / "empty.csv").write_text("ts_ns,src_ip,dst_ip,src_port,dst_port,proto,len\n")
+        overrides = {"trace": {"csv": "empty.csv"}, "experiments": ["rate", "wmrd"]}
+        with pytest.raises(ConfigError, match="at trace/csv: .*empty.csv holds no packets"):
+            self.run(tmp_path, "e", overrides)
+        assert not any((tmp_path / "e").iterdir())
 
     def test_result_rows_are_cell_ordered(self, tmp_path):
         _, out = self.run(tmp_path, "b")

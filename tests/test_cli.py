@@ -125,6 +125,7 @@ class TestGen:
     @pytest.mark.parametrize("flag,value", [
         ("--flows", "0"), ("--tcp-fraction", "2"), ("--duration", "0"),
         ("--gaps", "poisson:1ms"), ("--ips", "zipf"), ("--ports", "pareto:1"),
+        ("--duration", "0.4ns"), ("--gaps", "exp:0.4ns"), ("--gaps", "fixed:0.4ns"),
     ])
     def test_value_the_spec_rejects_names_its_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
@@ -237,6 +238,9 @@ class TestSimulate:
     @pytest.mark.parametrize("flags,named", [
         (["--idle", "0"], "--idle"), (["--hard", "5ms"], "--hard"),
         (["--idle", "20s", "--hard", "10s"], "--hard"),
+        # a positive duration that rounds to 0 ns
+        (["--hard", "0.4ns"], "--hard"), (["--idle", "0.4ns"], "--idle"),
+        (["--delay", "0.5ns"], "--delay"),
     ])
     def test_timeout_the_controller_rejects_names_its_flag(self, tmp_path, capsys, flags, named):
         # a malformed trace too: the timeouts are checked before the trace is read
@@ -371,7 +375,7 @@ class TestCampaignCommand:
             "rates": ["1"],
             "trials": 1,
             "experiments": ["overhead"],
-            "overhead": {"delays_ms": [5, 5.0, 0.0000001]},
+            "overhead": {"delays_ms": [5, 5.0, 5.0000000001]},
         }))
         assert main(["campaign", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "overhead/delays_ms/1: same as overhead/delays_ms/0" in capsys.readouterr().err

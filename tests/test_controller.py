@@ -66,7 +66,6 @@ class TestPacketInHandling:
         p = pkt(ts=7 * MS)
         mod = ctl.on_packet_in(PacketIn(p))
         assert mod.execute_at_ns == 10 * MS
-        assert mod.key == flow_key_of(p)
         e = mod.entry
         assert e.match == MatchFields.exact(flow_key_of(p))
         assert e.priority == FLOW_RECORD_PRIORITY
@@ -84,16 +83,12 @@ class TestPacketInHandling:
         assert ctl.redundant_bytes_by_protocol[Protocol.TCP] == 150
 
     def test_packet_in_for_installed_flow_is_a_state_error(self):
+        # at delay 0 the entry is active from the first packet's instant on,
+        # so a later packet of the flow must have matched it
         ctl = MonitoringController(cc())
-        p = pkt()
-        mod = ctl.on_packet_in(PacketIn(p))
-        ctl.on_flow_mod_installed(mod.key)
-        with pytest.raises(ControllerStateError):
+        ctl.on_packet_in(PacketIn(pkt()))
+        with pytest.raises(ControllerStateError, match="active"):
             ctl.on_packet_in(PacketIn(pkt(ts=1)))
-
-    def test_install_ack_for_a_flow_never_scheduled_is_a_state_error(self):
-        with pytest.raises(ControllerStateError):
-            MonitoringController(cc()).on_flow_mod_installed(flow_key_of(pkt()))
 
     def test_flow_removed_for_a_wildcard_entry_is_a_state_error(self):
         wildcard = FlowEntry(match=MatchFields(), priority=FLOW_RECORD_PRIORITY, actions=())
@@ -165,7 +160,8 @@ class TestRecordAccounting:
         assert recs[0].last_seen_ns < recs[1].first_seen_ns
 
     def test_never_installed_flow_still_gets_a_record(self, run):
-        # trace ends before the install delay elapses
+        # trace ends before the install delay elapses: the entry is drained
+        # unmatched, so the record is the controller's view alone
         trace = [pkt(ts=0, length=10), pkt(ts=1 * MS, length=20)]
         result = run(trace, RATE_ONE, cc(delay=500 * MS))
         (rec,) = result.records
@@ -174,6 +170,7 @@ class TestRecordAccounting:
         assert rec.byte_count == 30
         assert rec.controller_packet_count == 2
         assert rec.last_seen_ns == 1 * MS
+        assert (result.entries_installed, result.peak_record_entries) == (0, 0)
 
     def test_zero_delay_means_zero_redundancy(self, run):
         trace = random_trace(150, seed=4, packets_per_flow=3)
@@ -233,27 +230,6 @@ class TestRecordAccounting:
     def test_per_flow_replay_rejects_a_trace_out_of_time_order(self):
         with pytest.raises(ValueError, match="behind"):
             replay_flows([pkt(ts=5), pkt(ts=4, sport=2)], generate_rules(RATE_ONE), cc())
-
-
-class TestFinalizePending:
-    def test_records_synthesized_from_controller_state(self):
-        ctl = MonitoringController(cc(delay=100 * MS))
-        first = pkt(ts=0, length=60)
-        ctl.on_packet_in(PacketIn(first))
-        ctl.on_packet_in(PacketIn(pkt(ts=5 * MS, length=40)))
-        records = ctl.finalize_pending()
-        (rec,) = records
-        assert rec.expiry_reason is FlowRemovedReason.DELETE
-        assert rec.packet_count == 2
-        assert rec.byte_count == 100
-        assert rec.controller_packet_count == 2
-        assert rec.last_seen_ns == 5 * MS
-
-    def test_finalize_twice_is_empty(self):
-        ctl = MonitoringController(cc(delay=100 * MS))
-        ctl.on_packet_in(PacketIn(pkt()))
-        assert len(ctl.finalize_pending()) == 1
-        assert ctl.finalize_pending() == []
 
 
 class TestExport:

@@ -203,7 +203,8 @@ class TestCounters:
         second = sw.install_flow_entry(entry(match, priority=10), install_time_ns=2)
         assert sw.get_entry(first) is None
         assert sw.get_entry(second).packet_count == 0
-        assert sw.active_entry_count(priority=10) == 1
+        sw.process_packet(pkt(ts=3))
+        assert sw.get_entry(second).packet_count == 1
 
     def test_install_returns_fresh_ids_and_copies_the_template(self):
         sw = Switch()
@@ -468,15 +469,15 @@ class TestFlush:
         assert all(ev.reason is FlowRemovedReason.DELETE for ev in events)
         assert all(ev.removal_time_ns == 99 for ev in events)
         assert sw.get_entry(sampler) is not None
-        assert sw.active_entry_count(priority=FLOW_RECORD_PRIORITY) == 0
+        assert all(sw.get_entry(eid) is None for eid in flow_ids)
 
     def test_flush_respects_the_removal_flag(self):
         sw = Switch()
         p = pkt()
         e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY)
-        sw.install_flow_entry(e, install_time_ns=0)
+        eid = sw.install_flow_entry(e, install_time_ns=0)
         assert sw.flush_all(now_ns=1) == []
-        assert sw.active_entry_count(priority=FLOW_RECORD_PRIORITY) == 0
+        assert sw.get_entry(eid) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -516,7 +517,7 @@ def test_expiry_instant_matches_brute_force(idle, hard, hits, horizon):
     sw = switch_with_default()
     e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
               idle_timeout_ns=idle, hard_timeout_ns=hard, send_flow_removed=True)
-    sw.install_flow_entry(e, install_time_ns=0)
+    eid = sw.install_flow_entry(e, install_time_ns=0)
     observed = []
     for ts in sorted(hits):
         observed += [ev for ev in sw.process_packet(pkt(ts=ts)) if isinstance(ev, FlowRemoved)]
@@ -524,7 +525,7 @@ def test_expiry_instant_matches_brute_force(idle, hard, hits, horizon):
 
     if expected is None:
         assert observed == []
-        assert sw.active_entry_count(priority=FLOW_RECORD_PRIORITY) == 1
+        assert sw.get_entry(eid) is not None
     else:
         assert len(observed) == 1
         assert observed[0].removal_time_ns == expected[0]
