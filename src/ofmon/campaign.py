@@ -40,6 +40,7 @@ from .traceio import (
     Geometric,
     ParetoDiscrete,
     SyntheticSpec,
+    TraceFormatError,
     UniformRandom,
     ZipfSkewed,
     generate_trace,
@@ -265,7 +266,10 @@ class CampaignConfig:
 
     def load_trace(self) -> list:
         if self.trace_path is not None:
-            trace = list(read_csv_trace(self.trace_path))
+            try:
+                trace = list(read_csv_trace(self.trace_path))
+            except TraceFormatError as exc:
+                raise _invalid("trace/csv", f"{self.trace_path}: {exc}") from exc
         else:
             trace = generate_trace(self.synthetic)
         if self.randomize_keys_seed is not None:

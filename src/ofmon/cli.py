@@ -40,6 +40,9 @@ from .traceio import (
 
 _DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(ns|us|ms|s|m)?")
 _DURATION_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000, "m": 60_000_000_000}
+# `gen` flags that shape a synthetic trace, which --randomize does not build
+_SYNTHETIC_FLAGS = ("--flows", "--sizes", "--ips", "--ports", "--tcp-fraction", "--gaps",
+                    "--duration")
 
 
 def ascii_float(text: str) -> float:
@@ -127,6 +130,10 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
     _check_output_file("-o", args.out)
     seed = parse_at("--seed", check_seed, args.seed)
     if args.randomize:
+        for flag in _SYNTHETIC_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ConfigError(f"{flag}: not allowed with --randomize, which keeps"
+                                  " the input trace's flows")
         if not os.path.isfile(args.randomize):
             raise ConfigError(f"trace not found: {args.randomize}")
         packets = randomize_trace(read_csv_trace(args.randomize), seed)

@@ -94,14 +94,6 @@ def merge_record(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduledFlowMod:
-    """Entry install request taking effect at execute_at_ns."""
-
-    execute_at_ns: int
-    entry: FlowEntry
-
-
 class MonitoringController:
     """Builds per-flow records out of PacketIn and FlowRemoved streams."""
 
@@ -114,11 +106,12 @@ class MonitoringController:
         self.redundant_packets_by_protocol: Counter[Protocol] = Counter()
         self.redundant_bytes_by_protocol: Counter[Protocol] = Counter()
 
-    def on_packet_in(self, event: PacketIn) -> ScheduledFlowMod | None:
+    def on_packet_in(self, event: PacketIn) -> FlowEntry | None:
         """Handle a controller copy of a packet.
 
-        First sighting of a flow returns the install request for its record
-        entry, active install_delay later; repeats before then only bump the
+        First sighting of a flow returns its record entry, dated the instant
+        it becomes active: install_time_ns is the PacketIn's timestamp plus
+        the install delay.  Repeats before then return None and only bump the
         redundancy counters.  A PacketIn at or after the flow's install
         instant means events were fed out of order.
         """
@@ -141,15 +134,14 @@ class MonitoringController:
             return None
         install_ns = ts + self.config.install_delay_ns
         self._open[key] = FlowView(ts, ts, 1, pkt.length_bytes), install_ns
-        entry = FlowEntry(
+        return FlowEntry(
             match=MatchFields.exact(key),
             priority=FLOW_RECORD_PRIORITY,
             actions=(GotoTable(),),
             idle_timeout_ns=self.config.idle_timeout_ns,
             hard_timeout_ns=self.config.hard_timeout_ns,
-            send_flow_removed=True,
+            install_time_ns=install_ns,
         )
-        return ScheduledFlowMod(execute_at_ns=install_ns, entry=entry)
 
     def on_flow_removed(self, event: FlowRemoved) -> FlowRecord:
         """Close the record for a removed entry, merging both counter views.

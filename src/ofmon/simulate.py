@@ -2,11 +2,12 @@
 
 `Simulation` is the packet-level reference: one switch, one controller, one
 virtual clock.  The switch hands each sampled flow's first packet to the
-controller, and the entry it asks for goes into the table at once, dated its
-install instant; the switch ignores an entry until that instant, so the
-packets in between reach the controller as redundant PacketIns.  An entry
-still in flight when the trace ends is drained with the rest, unmatched: an
-entry counts as installed iff it is dated by the last packet's instant.
+controller, and the record entry it answers with goes into the table at
+once, dated its install instant; the switch ignores an entry until that
+instant, so the packets in between reach the controller as redundant
+PacketIns.  An entry still in flight when the trace ends is drained with the
+rest, unmatched: an entry counts as installed iff it is dated by the last
+packet's instant.
 
 `replay_flows` gives the same result without the switch, and is what
 `ofmon simulate`, the overhead sweep and the record export run.  A record
@@ -73,13 +74,12 @@ class Simulation:
         self.controller = MonitoringController(controller_config or ControllerConfig())
         # block 3: the catch-all that keeps unmonitored traffic flowing
         self.switch.install_flow_entry(
-            FlowEntry(match=MatchFields(), priority=DEFAULT_PRIORITY, actions=(GotoTable(),)),
-            install_time_ns=0,
+            FlowEntry(match=MatchFields(), priority=DEFAULT_PRIORITY, actions=(GotoTable(),))
         )
         for group in rule_set.groups:
             self.switch.install_group(group)
         for entry in rule_set.flow_entries:
-            self.switch.install_flow_entry(entry, install_time_ns=0)
+            self.switch.install_flow_entry(entry)
 
     def run(self, trace: Iterable[PacketRecord]) -> SimulationResult:
         switch = self.switch
@@ -91,9 +91,9 @@ class Simulation:
             seen.add(pkt.key)
             for event in switch.process_packet(pkt):
                 if type(event) is PacketIn:
-                    mod = controller.on_packet_in(event)
-                    if mod is not None:
-                        switch.install_flow_entry(mod.entry, mod.execute_at_ns)
+                    entry = controller.on_packet_in(event)
+                    if entry is not None:
+                        switch.install_flow_entry(entry)
                 else:
                     removed.append(event)
                     controller.on_flow_removed(event)

@@ -7,10 +7,11 @@ only counts what GotoTable hands it, so tests can assert that monitoring is
 transparent: every packet is handed over exactly once.  Both are roles; no
 action or event carries a table id.
 
-Time is virtual.  The clock only moves through process_packet/advance_clock,
-and expired entries are evicted lazily but with their exact expiry instant,
-so results do not depend on how often the clock happens to advance.
-`expiry_of` gives that instant, here and in the per-flow replay.
+Time is virtual.  The clock only moves through advance_clock, which
+process_packet calls with each packet's timestamp.  Expired entries are
+evicted lazily but with their exact expiry instant, so results do not depend
+on how often the clock happens to advance.  `expiry_of` gives that instant,
+here and in the per-flow replay.
 """
 
 import bisect
@@ -140,7 +141,6 @@ class FlowEntry:
     actions: tuple[Action, ...]
     idle_timeout_ns: int = 0
     hard_timeout_ns: int = 0
-    send_flow_removed: bool = False
     install_time_ns: int = 0
     last_match_time_ns: int = 0
     packet_count: int = 0
@@ -219,7 +219,6 @@ class Switch:
         self._expiry_heap: list[tuple[int, int]] = []
         self._clock_ns = 0
         self._next_entry_id = 1
-        self.packets_processed = 0
         self.table1_packet_count = 0
         self.table1_byte_count = 0
 
@@ -230,8 +229,8 @@ class Switch:
 
     # -- table management ---------------------------------------------------
 
-    def install_flow_entry(self, entry: FlowEntry, install_time_ns: int) -> int:
-        """Install a copy of `entry` active from install_time_ns on.
+    def install_flow_entry(self, entry: FlowEntry) -> int:
+        """Install a copy of `entry`, active from its install_time_ns on.
 
         Reinstalling an existing (match, priority) pair replaces the old entry
         and resets its counters; the replaced entry leaves silently.
@@ -239,10 +238,10 @@ class Switch:
         old = self._by_match.get((entry.match, entry.priority))
         if old is not None:
             self._remove_entry(old)
+        install_ns = entry.install_time_ns
         live = replace(
             entry,
-            install_time_ns=install_time_ns,
-            last_match_time_ns=install_time_ns,
+            last_match_time_ns=install_ns,
             packet_count=0,
             byte_count=0,
             entry_id=self._next_entry_id,
@@ -254,9 +253,7 @@ class Switch:
         key = live.match.exact_key()
         index = self._wildcard if key is None else self._exact.setdefault(key, [])
         bisect.insort(index, (_rank(live), live))
-        expiry = expiry_of(
-            install_time_ns, install_time_ns, live.idle_timeout_ns, live.hard_timeout_ns
-        )
+        expiry = expiry_of(install_ns, install_ns, live.idle_timeout_ns, live.hard_timeout_ns)
         if expiry is not None:
             heapq.heappush(self._expiry_heap, (expiry[0], eid))
         return eid
@@ -279,34 +276,27 @@ class Switch:
     def advance_clock(self, now_ns: int) -> list[FlowRemoved]:
         """Move virtual time forward, evicting entries that expired before now.
 
-        Eviction uses the exact expiry instant from `expiry_of`, not `now_ns`.
-        Entries without send_flow_removed leave silently.
+        Every evicted entry is reported, in expiry order, dated its exact
+        expiry instant from `expiry_of`, not `now_ns`.
         """
         if now_ns < self._clock_ns:
-            raise SwitchError(
-                f"clock moved backwards: {now_ns} < {self._clock_ns}"
-            )
+            raise SwitchError(f"clock moved backwards: {now_ns} < {self._clock_ns}")
         events = self._evict_expired(now_ns)
         self._clock_ns = now_ns
         return events
 
     def flush_all(self, now_ns: int) -> list[FlowRemoved]:
-        """Drain every per-flow record entry (block 1).
-
-        Emits FlowRemoved(DELETE) for entries that asked for notification.
-        Sampling and catch-all entries are untouched.
+        """Drain every per-flow record entry (block 1), reporting each as
+        FlowRemoved(DELETE) at now_ns, oldest entry first.  Sampling and
+        catch-all entries are untouched.
         """
         victims = sorted(
             eid for eid, e in self._entries.items() if e.priority == FLOW_RECORD_PRIORITY
         )
         events = []
         for eid in victims:
-            entry = self._entries[eid]
+            events.append(FlowRemoved(self._entries[eid], FlowRemovedReason.DELETE, now_ns))
             self._remove_entry(eid)
-            if entry.send_flow_removed:
-                events.append(
-                    FlowRemoved(entry=entry, reason=FlowRemovedReason.DELETE, removal_time_ns=now_ns)
-                )
         return events
 
     # -- packet path ----------------------------------------------------------
@@ -320,10 +310,7 @@ class Switch:
         anything else means the table state is corrupt and raises.
         """
         ts = pkt.timestamp_ns
-        if ts < self._clock_ns:
-            raise SwitchError(f"packet timestamp {ts} behind switch clock {self._clock_ns}")
-        events: list[SwitchEvent] = self._evict_expired(ts)
-        self._clock_ns = ts
+        events: list[SwitchEvent] = self.advance_clock(ts)
 
         entry = self._lookup(pkt.key, ts)
         if entry is None:
@@ -334,7 +321,6 @@ class Switch:
         entry.packet_count += 1
         entry.byte_count += pkt.length_bytes
         entry.last_match_time_ns = ts
-        self.packets_processed += 1
 
         for act in entry.actions:
             cls = type(act)
@@ -396,7 +382,7 @@ class Switch:
         heap = self._expiry_heap
         if not heap or heap[0][0] >= now_ns:  # expiry instant itself still matches
             return []
-        dead: list[tuple[int, int, FlowEntry, FlowRemovedReason]] = []
+        dead: list[FlowRemoved] = []
         while heap and heap[0][0] < now_ns:
             _, eid = heapq.heappop(heap)
             e = self._entries.get(eid)
@@ -408,12 +394,8 @@ class Switch:
             )
             if instant < now_ns:
                 self._remove_entry(eid)
-                dead.append((instant, eid, e, reason))
+                dead.append(FlowRemoved(e, reason, instant))
             else:
                 heapq.heappush(heap, (instant, eid))  # matched since; rescheduled
-        dead.sort(key=lambda item: (item[0], item[1]))
-        return [
-            FlowRemoved(entry=entry, reason=reason, removal_time_ns=instant)
-            for instant, _, entry, reason in dead
-            if entry.send_flow_removed
-        ]
+        dead.sort(key=lambda event: (event.removal_time_ns, event.entry.entry_id))
+        return dead

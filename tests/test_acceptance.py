@@ -275,11 +275,11 @@ def _prop_transparency(data):
     rules = generate_rules(cfg)
     sw = Switch(bucket_selector=lambda g, k: select_bucket(g, k, cfg.seed))
     sw.install_flow_entry(FlowEntry(match=MatchFields(), priority=0,
-                                    actions=(GotoTable(),)), install_time_ns=0)
+                                    actions=(GotoTable(),)))
     for group in rules.groups:
         sw.install_group(group)
     for e in rules.flow_entries:
-        sw.install_flow_entry(e, install_time_ns=0)
+        sw.install_flow_entry(e)
     trace = _small_trace(data.draw(st.integers(0, 2**16)), n_flows=40, max_packets=4)
     for p in trace:
         sw.process_packet(p)
@@ -319,7 +319,7 @@ def _prop_priority_soundness(data):
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     sw = Switch()
     ids = [sw.install_flow_entry(FlowEntry(match=MatchFields(), priority=0,
-                                           actions=(GotoTable(),)), install_time_ns=0)]
+                                           actions=(GotoTable(),)))]
     for i in range(25):
         fields = {}
         if rng.random() < 0.5:
@@ -330,8 +330,8 @@ def _prop_priority_soundness(data):
             fields["src_ip"] = rng.randint(0, 3)
             fields["src_ip_mask"] = 0x3
         e = FlowEntry(match=MatchFields(**fields), priority=rng.randint(0, 4),
-                      actions=(GotoTable(),))
-        ids.append(sw.install_flow_entry(e, install_time_ns=i % 2))
+                      actions=(GotoTable(),), install_time_ns=i % 2)
+        ids.append(sw.install_flow_entry(e))
     ids = [i for i in ids if sw.get_entry(i) is not None]
     for ts in range(40):
         p = PacketRecord(ts, FlowKey(rng.randint(0, 7), rng.getrandbits(32),
@@ -384,12 +384,10 @@ def _prop_eviction_timing(idle, hard, hits, horizon):
     p = PacketRecord(0, FlowKey(1, 2, 3, 4, Protocol.TCP), 64)
     sw = Switch()
     sw.install_flow_entry(FlowEntry(match=MatchFields(), priority=0,
-                                    actions=(GotoTable(),)), install_time_ns=0)
+                                    actions=(GotoTable(),)))
     sw.install_flow_entry(
         FlowEntry(match=MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
-                  actions=(GotoTable(),), idle_timeout_ns=idle, hard_timeout_ns=hard,
-                  send_flow_removed=True),
-        install_time_ns=0,
+                  actions=(GotoTable(),), idle_timeout_ns=idle, hard_timeout_ns=hard)
     )
     seen = []
     for ts in sorted(hits):

@@ -397,6 +397,14 @@ class TestRunCampaign:
             self.run(tmp_path, "e", overrides)
         assert not any((tmp_path / "e").iterdir())
 
+    def test_a_malformed_csv_trace_names_its_file_and_config_path(self, tmp_path):
+        (tmp_path / "bad.csv").write_text("ts_ns,src_ip,dst_ip,src_port,dst_port,proto,len\n"
+                                          "0,1.2.3.4,5.6.7.8,1,2,TCP,64\n"
+                                          "1,1.2.3.4,5.6.7.8,1,2,XYZ,64\n")
+        overrides = {"trace": {"csv": "bad.csv"}}
+        with pytest.raises(ConfigError, match="at trace/csv: .*bad.csv: line 3: "):
+            self.run(tmp_path, "m", overrides)
+
     def test_result_rows_are_cell_ordered(self, tmp_path):
         _, out = self.run(tmp_path, "b")
         lines = (out / "rate_results.csv").read_text().splitlines()

@@ -81,6 +81,17 @@ class TestGen:
         assert [p.timestamp_ns for p in scrambled] == [p.timestamp_ns for p in trace]
         assert {flow_key_of(p) for p in scrambled} != {flow_key_of(p) for p in trace}
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--flows", "5"), ("--sizes", "fixed:3"), ("--ips", "uniform"), ("--ports", "uniform"),
+        ("--tcp-fraction", "0.5"), ("--gaps", "fixed:1ms"), ("--duration", "1s"),
+    ])
+    def test_randomize_rejects_the_synthetic_flags(self, tmp_path, capsys, flag, value):
+        src, out = tmp_path / "in.csv", tmp_path / "rand.csv"
+        write_csv_trace(random_trace(5, seed=2), str(src))
+        assert main(["gen", "--randomize", str(src), flag, value, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
+
     def test_needs_a_source(self, tmp_path, capsys):
         assert main(["gen", "-o", str(tmp_path / "x.csv")]) == 2
         assert "flows" in capsys.readouterr().err

@@ -64,14 +64,12 @@ class TestPacketInHandling:
     def test_first_packet_schedules_an_install(self):
         ctl = MonitoringController(cc(delay=3 * MS, idle=10 * MS, hard=40 * MS))
         p = pkt(ts=7 * MS)
-        mod = ctl.on_packet_in(PacketIn(p))
-        assert mod.execute_at_ns == 10 * MS
-        e = mod.entry
+        e = ctl.on_packet_in(PacketIn(p))
+        assert e.install_time_ns == 10 * MS
         assert e.match == MatchFields.exact(flow_key_of(p))
         assert e.priority == FLOW_RECORD_PRIORITY
         assert e.idle_timeout_ns == 10 * MS
         assert e.hard_timeout_ns == 40 * MS
-        assert e.send_flow_removed is True
 
     def test_repeat_packets_before_install_are_redundant(self):
         ctl = MonitoringController(cc(delay=10 * MS))

@@ -1,6 +1,7 @@
 """Table-0 behavior: matching, priorities, counters, timeouts, groups, flush."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -64,7 +65,7 @@ def random_entry(rng, keys):
 
 def switch_with_default():
     sw = Switch()
-    sw.install_flow_entry(entry(), install_time_ns=0)
+    sw.install_flow_entry(entry())
     return sw
 
 
@@ -111,8 +112,8 @@ class TestPriorityOrder:
         p = pkt()
         broad = entry(MatchFields(protocol=Protocol.TCP), priority=50)
         narrow = entry(MatchFields.exact(flow_key_of(p)), priority=100)
-        broad_id = sw.install_flow_entry(broad, install_time_ns=0)
-        narrow_id = sw.install_flow_entry(narrow, install_time_ns=0)
+        broad_id = sw.install_flow_entry(broad)
+        narrow_id = sw.install_flow_entry(narrow)
         sw.process_packet(p)
         assert sw.get_entry(narrow_id).packet_count == 1
         assert sw.get_entry(broad_id).packet_count == 0
@@ -120,10 +121,9 @@ class TestPriorityOrder:
     def test_equal_priority_earlier_install_wins(self):
         sw = switch_with_default()
         p = pkt(ts=10)
-        a = sw.install_flow_entry(entry(MatchFields(protocol=Protocol.TCP), priority=10),
-                                  install_time_ns=0)
-        b = sw.install_flow_entry(entry(MatchFields(src_port=p.key.src_port), priority=10),
-                                  install_time_ns=5)
+        a = sw.install_flow_entry(entry(MatchFields(protocol=Protocol.TCP), priority=10))
+        b = sw.install_flow_entry(entry(MatchFields(src_port=p.key.src_port), priority=10,
+                                        install_time_ns=5))
         sw.process_packet(p)
         assert sw.get_entry(a).packet_count == 1
         assert sw.get_entry(b).packet_count == 0
@@ -131,7 +131,7 @@ class TestPriorityOrder:
     def test_entry_not_yet_installed_cannot_match(self):
         sw = switch_with_default()
         late = sw.install_flow_entry(
-            entry(MatchFields(protocol=Protocol.TCP), priority=10), install_time_ns=100
+            entry(MatchFields(protocol=Protocol.TCP), priority=10, install_time_ns=100)
         )
         sw.process_packet(pkt(ts=50))
         assert sw.get_entry(late).packet_count == 0
@@ -152,14 +152,14 @@ class TestPriorityOrder:
             sw = Switch()
             installed = []
             if rng.random() < 0.5:  # else some packets match nothing
-                installed.append(sw.install_flow_entry(entry(), install_time_ns=0))
+                installed.append(sw.install_flow_entry(entry()))
             for i in range(rng.randint(0, 40)):
-                installed.append(sw.install_flow_entry(random_entry(rng, keys),
-                                                       install_time_ns=i % 3))
+                installed.append(sw.install_flow_entry(
+                    replace(random_entry(rng, keys), install_time_ns=i % 3)))
             for ts in range(10, 410, 2):
                 if rng.random() < 0.3:
                     installed.append(sw.install_flow_entry(
-                        random_entry(rng, keys), install_time_ns=ts + rng.randint(-1, 2)))
+                        replace(random_entry(rng, keys), install_time_ns=ts + rng.randint(-1, 2))))
                 k = rng.choice(keys)
                 p = pkt(ts=ts, src=k.src_ip, dst=k.dst_ip, sport=k.src_port,
                         dport=k.dst_port, proto=k.protocol)
@@ -185,8 +185,7 @@ class TestCounters:
     def test_counters_accumulate_packets_and_bytes(self):
         sw = switch_with_default()
         p = pkt()
-        eid = sw.install_flow_entry(entry(MatchFields.exact(flow_key_of(p)), priority=100),
-                                    install_time_ns=0)
+        eid = sw.install_flow_entry(entry(MatchFields.exact(flow_key_of(p)), priority=100))
         for ts, length in ((10, 100), (20, 200), (30, 300)):
             sw.process_packet(pkt(ts=ts, length=length))
         got = sw.get_entry(eid)
@@ -197,10 +196,10 @@ class TestCounters:
     def test_reinstall_same_match_and_priority_replaces_and_resets(self):
         sw = switch_with_default()
         match = MatchFields(protocol=Protocol.TCP)
-        first = sw.install_flow_entry(entry(match, priority=10), install_time_ns=0)
+        first = sw.install_flow_entry(entry(match, priority=10))
         sw.process_packet(pkt(ts=1))
         assert sw.get_entry(first).packet_count == 1
-        second = sw.install_flow_entry(entry(match, priority=10), install_time_ns=2)
+        second = sw.install_flow_entry(entry(match, priority=10, install_time_ns=2))
         assert sw.get_entry(first) is None
         assert sw.get_entry(second).packet_count == 0
         sw.process_packet(pkt(ts=3))
@@ -209,8 +208,8 @@ class TestCounters:
     def test_install_returns_fresh_ids_and_copies_the_template(self):
         sw = Switch()
         template = entry(MatchFields(protocol=Protocol.TCP), priority=10,
-                         packet_count=99, byte_count=999)
-        eid = sw.install_flow_entry(template, install_time_ns=3)
+                         packet_count=99, byte_count=999, install_time_ns=3)
+        eid = sw.install_flow_entry(template)
         installed = sw.get_entry(eid)
         assert installed is not template
         assert installed.packet_count == 0
@@ -222,8 +221,8 @@ class TestCounters:
 class TestTimeouts:
     def idle_entry(self, sw, p, idle_ns, install=0, **kw):
         e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
-                  idle_timeout_ns=idle_ns, send_flow_removed=True, **kw)
-        return sw.install_flow_entry(e, install_time_ns=install)
+                  idle_timeout_ns=idle_ns, install_time_ns=install, **kw)
+        return sw.install_flow_entry(e)
 
     def test_idle_expiry_fires_at_exact_instant(self):
         sw = switch_with_default()
@@ -268,8 +267,8 @@ class TestTimeouts:
         sw = switch_with_default()
         p = pkt(ts=0)
         e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
-                  hard_timeout_ns=60_000, send_flow_removed=True)
-        sw.install_flow_entry(e, install_time_ns=0)
+                  hard_timeout_ns=60_000)
+        sw.install_flow_entry(e)
         for ts in range(0, 60_000, 1_000):
             sw.process_packet(pkt(ts=ts))
         events = sw.advance_clock(61_000)
@@ -306,23 +305,14 @@ class TestTimeouts:
         events = sw.advance_clock(15_001)
         assert [(ev.entry.entry_id, ev.removal_time_ns) for ev in events] == [(new, 15_000)]
 
-    def test_no_event_without_the_flag(self):
-        sw = switch_with_default()
-        p = pkt(ts=0)
-        e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
-                  idle_timeout_ns=1_000)
-        eid = sw.install_flow_entry(e, install_time_ns=0)
-        assert sw.advance_clock(5_000) == []
-        assert sw.get_entry(eid) is None
-
     def test_evictions_come_out_time_then_id_ordered(self):
         sw = switch_with_default()
         ids = []
         for i, idle in enumerate((3_000, 1_000, 1_000, 2_000)):
             p = pkt(sport=1000 + i)
             e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
-                      idle_timeout_ns=idle, send_flow_removed=True)
-            ids.append(sw.install_flow_entry(e, install_time_ns=0))
+                      idle_timeout_ns=idle)
+            ids.append(sw.install_flow_entry(e))
         events = sw.advance_clock(10_000)
         got = [(ev.removal_time_ns, ev.entry.entry_id) for ev in events]
         assert got == sorted(got)
@@ -367,21 +357,21 @@ class TestGroups:
 
     def test_unknown_group_reference_fails_at_packet_time(self):
         sw = Switch()
-        sw.install_flow_entry(entry(actions=(Group(77), GotoTable())), install_time_ns=0)
+        sw.install_flow_entry(entry(actions=(Group(77), GotoTable())))
         with pytest.raises(GroupError):
             sw.process_packet(pkt())
 
     def test_single_bucket_group_needs_no_selector(self):
         sw = Switch()  # no bucket_selector injected
         sw.install_group(self.group(1))
-        sw.install_flow_entry(entry(actions=(Group(1), GotoTable())), install_time_ns=0)
+        sw.install_flow_entry(entry(actions=(Group(1), GotoTable())))
         out = sw.process_packet(pkt())
         assert [type(ev) for ev in out] == [PacketIn]
 
     def test_multi_bucket_group_without_a_selector_fails_at_packet_time(self):
         sw = Switch()
         sw.install_group(self.group(1, 1))
-        sw.install_flow_entry(entry(actions=(Group(1), GotoTable())), install_time_ns=0)
+        sw.install_flow_entry(entry(actions=(Group(1), GotoTable())))
         with pytest.raises(GroupError):
             sw.process_packet(pkt())
 
@@ -393,7 +383,7 @@ class TestGroups:
 
         sw = Switch(bucket_selector=selector)
         sw.install_group(self.group(1, 1))
-        sw.install_flow_entry(entry(actions=(Group(1), GotoTable())), install_time_ns=0)
+        sw.install_flow_entry(entry(actions=(Group(1), GotoTable())))
         sampled, dropped = pkt(sport=1), pkt(sport=2)
         chosen[flow_key_of(sampled)] = 0
         chosen[flow_key_of(dropped)] = 1
@@ -407,7 +397,6 @@ class TestPipelineInvariants:
         sw.install_flow_entry(
             entry(MatchFields(protocol=Protocol.UDP), priority=SAMPLING_PRIORITY,
                   actions=(OutputToController(), GotoTable())),
-            install_time_ns=0,
         )
         rng = random.Random(3)
         total_bytes = 0
@@ -419,7 +408,6 @@ class TestPipelineInvariants:
                                   length=length))
         assert sw.table1_packet_count == 500
         assert sw.table1_byte_count == total_bytes
-        assert sw.packets_processed == 500
 
     def test_packet_matching_nothing_is_an_error(self):
         sw = Switch()
@@ -428,13 +416,13 @@ class TestPipelineInvariants:
 
     def test_entry_that_never_forwards_is_an_error(self):
         sw = Switch()
-        sw.install_flow_entry(entry(actions=(OutputToController(),)), install_time_ns=0)
+        sw.install_flow_entry(entry(actions=(OutputToController(),)))
         with pytest.raises(TableStateError):
             sw.process_packet(pkt())
 
     def test_drop_only_entry_is_an_error(self):
         sw = Switch()
-        sw.install_flow_entry(entry(actions=(Drop(),)), install_time_ns=0)
+        sw.install_flow_entry(entry(actions=(Drop(),)))
         with pytest.raises(TableStateError):
             sw.process_packet(pkt())
 
@@ -444,7 +432,6 @@ class TestPipelineInvariants:
         sw.install_flow_entry(
             entry(MatchFields.exact(flow_key_of(p)), priority=SAMPLING_PRIORITY,
                   actions=(OutputToController(), GotoTable())),
-            install_time_ns=0,
         )
         out = sw.process_packet(p)
         assert out == [PacketIn(p)]
@@ -456,28 +443,18 @@ class TestFlush:
         sampler = sw.install_flow_entry(
             entry(MatchFields(protocol=Protocol.TCP), priority=SAMPLING_PRIORITY,
                   actions=(OutputToController(), GotoTable())),
-            install_time_ns=0,
         )
         flow_ids = []
         for i in range(3):
             p = pkt(sport=2000 + i)
-            e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
-                      send_flow_removed=True)
-            flow_ids.append(sw.install_flow_entry(e, install_time_ns=0))
+            e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY)
+            flow_ids.append(sw.install_flow_entry(e))
         events = sw.flush_all(now_ns=99)
         assert [ev.entry.entry_id for ev in events] == flow_ids
         assert all(ev.reason is FlowRemovedReason.DELETE for ev in events)
         assert all(ev.removal_time_ns == 99 for ev in events)
         assert sw.get_entry(sampler) is not None
         assert all(sw.get_entry(eid) is None for eid in flow_ids)
-
-    def test_flush_respects_the_removal_flag(self):
-        sw = Switch()
-        p = pkt()
-        e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY)
-        eid = sw.install_flow_entry(e, install_time_ns=0)
-        assert sw.flush_all(now_ns=1) == []
-        assert sw.get_entry(eid) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -516,8 +493,8 @@ def test_expiry_instant_matches_brute_force(idle, hard, hits, horizon):
     p = pkt()
     sw = switch_with_default()
     e = entry(MatchFields.exact(flow_key_of(p)), priority=FLOW_RECORD_PRIORITY,
-              idle_timeout_ns=idle, hard_timeout_ns=hard, send_flow_removed=True)
-    eid = sw.install_flow_entry(e, install_time_ns=0)
+              idle_timeout_ns=idle, hard_timeout_ns=hard)
+    eid = sw.install_flow_entry(e)
     observed = []
     for ts in sorted(hits):
         observed += [ev for ev in sw.process_packet(pkt(ts=ts)) if isinstance(ev, FlowRemoved)]
