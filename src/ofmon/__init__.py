@@ -15,7 +15,7 @@ from .sampling import (
     generate_rules,
     select_bucket,
 )
-from .simulate import replay
+from .simulate import replay_flows
 from .traceio import Geometric, SyntheticSpec, generate_trace, randomize_trace
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "generate_rules",
     "generate_trace",
     "randomize_trace",
-    "replay",
+    "replay_flows",
     "run_overhead_experiment",
     "run_rate_experiment",
     "run_wmrd_experiment",

@@ -239,7 +239,7 @@ _TIMEOUTS = {
 }
 _CONFIG_KEYS = (
     "seed", "trace", "randomize_keys_seed", "sampling", "rates", "trials", "experiments",
-    "timeouts", "install_delay_ms", "overhead", "export", "output_dir", "workers",
+    "timeouts", "install_delay_ms", "overhead", "export",
 )
 _CONFIG_REQUIRED = ("seed", "trace", "sampling", "rates", "trials", "experiments")
 
@@ -261,8 +261,6 @@ class CampaignConfig:
     overhead_rate: Fraction
     export_rate: Fraction
     export_format: str
-    output_dir: str | None
-    workers: int
 
     def load_trace(self) -> list:
         if self.trace_path is not None:
@@ -363,8 +361,6 @@ def load_campaign(path: str) -> CampaignConfig:
         export_rate=parse_at("export/rate", parse_rate,
                              _string(export.get("rate", raw["rates"][0]), "export/rate")),
         export_format=_choice(export.get("format", "jsonl"), "export/format", ("jsonl", "csv")),
-        output_dir=_string(raw["output_dir"], "output_dir") if "output_dir" in raw else None,
-        workers=_integer(raw.get("workers", 1), "workers", minimum=1),
     )
 
 
@@ -467,6 +463,8 @@ def _write_trial_tables(out: Path, experiment: str, summaries: list) -> list[str
 
 def make_output_dir(path: str) -> Path:
     """The output directory, created with its parents if need be; a ConfigError if it cannot be."""
+    if not path:
+        raise ConfigError("empty path")
     try:
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
@@ -475,12 +473,12 @@ def make_output_dir(path: str) -> Path:
     return out
 
 
-def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[str]:
+def run_campaign(config: CampaignConfig, out_dir: str, workers=1, progress=print) -> list[str]:
     """Execute every selected experiment; returns the files written.
 
-    Cells (method, mode, rate) may run in a worker pool, which takes them
-    heaviest first by ports drawn, but output ordering is fixed by sorting on
-    the cell coordinates, never by dispatch or completion.
+    Cells (method, mode, rate) may run in a pool of `workers` processes, which
+    takes them heaviest first by ports drawn, but output ordering is fixed by
+    sorting on the cell coordinates, never by dispatch or completion.
     """
     out = make_output_dir(out_dir)
     trace = config.load_trace()
@@ -506,7 +504,7 @@ def run_campaign(config: CampaignConfig, out_dir: str, progress=print) -> list[s
         for experiment in trial_experiments
         for m, mo, r in cells
     ]
-    summaries = _run_cells(flow_sizes(trace), jobs, config.workers) if jobs else []
+    summaries = _run_cells(flow_sizes(trace), jobs, workers) if jobs else []
     for i, experiment in enumerate(trial_experiments):
         done = summaries[i * len(cells):(i + 1) * len(cells)]
         done.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))

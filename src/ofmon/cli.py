@@ -191,14 +191,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a campaign config file end to end."""
     config = load_campaign(args.config)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers: worker count must be >= 1")
-        config = dataclasses.replace(config, workers=args.workers)
-    out_dir = args.out or config.output_dir or "campaign_out"
-    parse_at("--out" if args.out else "output_dir", make_output_dir, out_dir)
-    files = run_campaign(config, out_dir)
-    print(f"campaign complete: {len(files)} files in {out_dir}")
+    if args.workers < 1:
+        raise ConfigError("--workers: worker count must be >= 1")
+    parse_at("--out", make_output_dir, args.out)
+    files = run_campaign(config, args.out, args.workers)
+    print(f"campaign complete: {len(files)} files in {args.out}")
     return 0
 
 
@@ -224,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser("campaign", help="run a declarative experiment campaign")
     p_camp.add_argument("config", help="campaign JSON file")
-    p_camp.add_argument("--out", help="output directory (overrides config)")
-    p_camp.add_argument("--workers", type=ascii_int, help="worker processes (overrides config)")
+    p_camp.add_argument("--out", default="campaign_out",
+                        help="output directory (default campaign_out)")
+    p_camp.add_argument("--workers", type=ascii_int, default=1, help="worker processes (default 1)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_gen = sub.add_parser("gen", help="generate or randomize a trace")

@@ -34,7 +34,7 @@ from .sampling import (
     config_for_rate,
     derive_seed,
     generate_rules,
-    sampled_keys,
+    key_sampler,
 )
 from .simulate import replay_sampled, sample_flows
 
@@ -111,7 +111,7 @@ def _cell_sampler(
     ip-suffix, the source port for port.  A trial then looks up its drawn
     suffixes, or the source ports it drew, and in pair mode keeps the flows
     whose destination port it drew too.  Both protocols have a port entry
-    with the same sets, so protocol is not a key.  Hash keeps `sampled_keys`.
+    with the same sets, so protocol is not a key.  Hash filters with `key_sampler`.
     """
     if base.method is SamplingMethod.IP_SUFFIX:
         src_mask = (1 << base.src_size) - 1
@@ -140,7 +140,7 @@ def _cell_sampler(
             return [size for port in hits for d, size in by_src_port[port] if d in dst]
 
         return sampled
-    return lambda rules: [sizes[k] for k in sampled_keys(rules, sizes)]
+    return lambda rules: [sizes[k] for k in filter(key_sampler(rules), sizes)]
 
 
 def _run_trials(

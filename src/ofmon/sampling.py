@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterable
+from typing import Callable
 
 from .model import FlowKey, Protocol, check_seed
 from .switch import (
@@ -360,12 +360,6 @@ def key_sampler(rule_set: RuleSet) -> Callable[[FlowKey], bool]:
         return False
 
     return sampled
-
-
-def sampled_keys(rule_set: RuleSet, keys: Iterable[FlowKey]) -> list[FlowKey]:
-    """The keys whose packets table 0 mirrors to the controller, in input order:
-    the flows a replay of any trace with these keys samples."""
-    return list(filter(key_sampler(rule_set), keys))
 
 
 def config_for_rate(

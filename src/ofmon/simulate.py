@@ -125,15 +125,6 @@ def _peak_live(starts: list[int], ends: list[int]) -> int:
     return max((n - bisect_left(ends, t) for n, t in enumerate(starts, 1)), default=0)
 
 
-def replay(
-    trace: Iterable[PacketRecord],
-    sampling: SamplingConfig,
-    controller_config: ControllerConfig | None = None,
-) -> SimulationResult:
-    """One-shot convenience wrapper around Simulation."""
-    return Simulation(sampling, controller_config).run(trace)
-
-
 class SampledFlows(NamedTuple):
     """A trace grouped by sampled flow: what `replay_sampled` walks.
 

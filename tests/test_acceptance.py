@@ -32,7 +32,6 @@ from ofmon import (
     generate_rules,
     generate_trace,
     randomize_trace,
-    replay,
     run_overhead_experiment,
     run_rate_experiment,
     run_wmrd_experiment,
@@ -40,6 +39,7 @@ from ofmon import (
 )
 from ofmon.campaign import load_campaign, run_campaign
 from ofmon.sampling import PORT_SPACE
+from ofmon.simulate import Simulation
 from ofmon.switch import (
     FLOW_RECORD_PRIORITY,
     FlowEntry,
@@ -293,7 +293,7 @@ def _prop_counter_conservation(seed, delay_ms):
     # rate 1: every packet lands in exactly one record; redundancy adds up
     trace = _small_trace(seed, n_flows=50, max_packets=6)
     cc = ControllerConfig(install_delay_ns=delay_ms * MS)
-    result = replay(trace, SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=0), cc)
+    result = Simulation(SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=0), cc).run(trace)
     per_key_packets = Counter()
     per_key_bytes = Counter()
     for p in trace:
@@ -407,7 +407,7 @@ def _prop_hash_flow_coherence(seed, drop):
     trace = _small_trace(seed, n_flows=60, max_packets=5)
     cfg = SamplingConfig(SamplingMethod.HASH_BASED, sample_weight=1,
                          drop_weight=drop, seed=seed)
-    result = replay(trace, cfg)
+    result = Simulation(cfg).run(trace)
     totals = Counter()
     for p in trace:
         totals[flow_key_of(p)] += 1
@@ -439,7 +439,7 @@ def test_criterion_8_hash_oracle_equivalence():
             key for key in {flow_key_of(p) for p in trace}
             if select_bucket(group, key, cfg.seed) == 0
         }
-        result = replay(trace, cfg)
+        result = Simulation(cfg).run(trace)
         assert {r.key for r in result.records} == oracle
 
 

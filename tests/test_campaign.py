@@ -106,7 +106,6 @@ class TestLoadCampaign:
         assert cfg.overhead_delays_ns == (0, 5_000_000)
         assert cfg.export_rate == Fraction(1, 8)
         assert cfg.export_format == "csv"
-        assert cfg.workers == 1
 
     def test_default_overhead_delays(self, tmp_path):
         cfg = load_campaign(write_config(tmp_path, drop=("overhead",)))
@@ -261,6 +260,8 @@ class TestLoadCampaign:
         ({"export": {"format": "xml"}}, (), "export/format: "),
         ({"output_dir": 3}, (), "output_dir: "),
         ({"randomize_keys_seed": "3"}, (), "randomize_keys_seed: "),
+        ({"workers": 2}, (), "workers: "),
+        ({"output_dir": "out"}, (), "output_dir: "),
     ])
     def test_a_fault_names_its_path(self, tmp_path, overrides, drop, where):
         with pytest.raises(ConfigError, match=f"^campaign config invalid at {re.escape(where)}"):
@@ -372,10 +373,10 @@ ALL_CELL_KINDS = {
 
 
 class TestRunCampaign:
-    def run(self, tmp_path, name, overrides=None):
+    def run(self, tmp_path, name, overrides=None, workers=1):
         cfg = load_campaign(write_config(tmp_path, overrides, name=f"{name}.json"))
         out = tmp_path / name
-        return run_campaign(cfg, str(out), **QUIET), out
+        return run_campaign(cfg, str(out), workers, **QUIET), out
 
     def test_writes_every_expected_file(self, tmp_path):
         written, out = self.run(tmp_path, "a")
@@ -426,7 +427,7 @@ class TestRunCampaign:
         # BASE has no port cell, so only ALL_CELL_KINDS reorders the dispatch
         for name, overrides in (("base", {}), ("kinds", ALL_CELL_KINDS)):
             serial, _ = self.run(tmp_path, f"{name}-w1", overrides)
-            pooled, _ = self.run(tmp_path, f"{name}-w2", {**overrides, "workers": 2})
+            pooled, _ = self.run(tmp_path, f"{name}-w2", overrides, workers=2)
             assert [Path(a).name for a in sorted(serial)] == [Path(b).name for b in sorted(pooled)]
             for a, b in zip(sorted(serial), sorted(pooled)):
                 assert Path(a).read_bytes() == Path(b).read_bytes()
@@ -479,7 +480,7 @@ class TestRunCampaign:
 
     def test_pool_is_no_larger_than_the_job_list(self, tmp_path, pool):
         serial, _ = self.run(tmp_path, "s", {"experiments": ["rate"]})
-        pooled, _ = self.run(tmp_path, "p", {"experiments": ["rate"], "workers": 100_000})
+        pooled, _ = self.run(tmp_path, "p", {"experiments": ["rate"]}, workers=100_000)
         assert pool.sizes == [2]  # two cells, so two rate jobs
         for a, b in zip(sorted(serial), sorted(pooled)):
             assert Path(a).read_bytes() == Path(b).read_bytes()
@@ -488,8 +489,8 @@ class TestRunCampaign:
         experiments = {"experiments": ["wmrd", "rate"]}
         serial, _ = self.run(tmp_path, "s", experiments)
         lines = []
-        cfg = load_campaign(write_config(tmp_path, {**experiments, "workers": 100_000}))
-        pooled = run_campaign(cfg, str(tmp_path / "p"), progress=lines.append)
+        cfg = load_campaign(write_config(tmp_path, experiments))
+        pooled = run_campaign(cfg, str(tmp_path / "p"), workers=100_000, progress=lines.append)
         assert pool.sizes == [4]  # two cells of each experiment
         assert lines == ["trace ready: 800 packets", "rate experiment done: 2 cells",
                          "wmrd experiment done: 2 cells"]
@@ -498,7 +499,7 @@ class TestRunCampaign:
 
     def test_pool_takes_the_cells_that_draw_the_most_ports_first(self, tmp_path, pool):
         serial, _ = self.run(tmp_path, "s", ALL_CELL_KINDS)
-        pooled, _ = self.run(tmp_path, "p", {**ALL_CELL_KINDS, "workers": 2})
+        pooled, _ = self.run(tmp_path, "p", ALL_CELL_KINDS, workers=2)
         dispatched, = pool.jobs
         # equal costs keep the config order: experiment, then sampling entry, then rate
         assert [(e, m.value, mo.value, str(r)) for e, m, mo, r, *_ in dispatched] == [
@@ -540,8 +541,6 @@ FUZZ_BASE = {
     "install_delay_ms": 1,
     "overhead": {"delays_ms": [0, 5], "rate": "1"},
     "export": {"rate": "1/8", "format": "csv"},
-    "output_dir": "out",
-    "workers": 2,
 }
 
 # numbers of every kind JSON can spell, the ones the campaign rejects included
@@ -608,7 +607,7 @@ def test_any_config_loads_or_raises_a_config_error(tmp_path_factory, cfg):
     except ConfigError:
         return
     assert isinstance(loaded, CampaignConfig)
-    ints = [loaded.seed, loaded.trials, loaded.workers]
+    ints = [loaded.seed, loaded.trials]
     if loaded.synthetic is not None:
         ints += [loaded.synthetic.flow_count, loaded.synthetic.seed]
     assert all(type(v) is int for v in ints)

@@ -313,14 +313,28 @@ class TestCampaignCommand:
             "rates": ["1/4"],
             "trials": 1,
             "experiments": ["rate"],
-            "output_dir": str(blocker / "from-config"),
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main(["campaign", str(path)]) == 2
-        assert "output_dir: cannot create directory " in capsys.readouterr().err
         assert main(["campaign", str(path), "--out", str(blocker)]) == 2
         assert "--out: cannot create directory " in capsys.readouterr().err
+
+    def test_empty_out_is_exit_2_and_no_out_writes_campaign_out(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({
+            "seed": 3,
+            "trace": {"synthetic": {"flows": 10, "seed": 2}},
+            "sampling": [{"method": "hash"}],
+            "rates": ["1/4"],
+            "trials": 1,
+            "experiments": ["rate"],
+        }))
+        assert main(["campaign", "c.json", "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out: empty path\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+        assert main(["campaign", "c.json"]) == 0
+        assert (tmp_path / "campaign_out" / "manifest.json").exists()
 
     def test_invalid_config_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -18,7 +18,7 @@ from ofmon.controller import (
 )
 from ofmon.model import FlowKey, FlowRecord, FlowRemovedReason, Protocol, flow_key_of, format_ip
 from ofmon.sampling import SamplingConfig, SamplingMethod, generate_rules
-from ofmon.simulate import replay, replay_flows
+from ofmon.simulate import Simulation, replay_flows
 from ofmon.switch import (
     FLOW_RECORD_PRIORITY,
     FlowEntry,
@@ -107,7 +107,8 @@ class TestRecordAccounting:
     """Hand-computed records, from the packet-level and the per-flow replay."""
 
     @pytest.fixture(params=[
-        replay, lambda trace, cfg, controller: replay_flows(trace, generate_rules(cfg), controller)
+        lambda trace, cfg, controller: Simulation(cfg, controller).run(trace),
+        lambda trace, cfg, controller: replay_flows(trace, generate_rules(cfg), controller),
     ], ids=["packets", "flows"])
     def run(self, request):
         return request.param
@@ -233,7 +234,7 @@ class TestRecordAccounting:
 class TestExport:
     def records(self):
         trace = random_trace(25, seed=14, packets_per_flow=2)
-        return replay(trace, RATE_ONE, cc()).records
+        return Simulation(RATE_ONE, cc()).run(trace).records
 
     def test_jsonl_round_trip(self):
         records = self.records()
