@@ -10,7 +10,6 @@ import csv
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import MISSING, astuple, dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
@@ -23,8 +22,9 @@ from .evaluation import (
     run_rate_experiment,
     run_wmrd_experiment,
 )
-from .model import ascii_number, flow_sizes
+from .model import ascii_number
 from .sampling import (
+    SamplingConfig,
     SamplingMethod,
     SamplingMode,
     check_seed,
@@ -32,7 +32,7 @@ from .sampling import (
     derive_seed,
     generate_rules,
 )
-from .simulate import replay_flows
+from .simulate import replay_sampled, restrict_flows, sample_flows
 from .traceio import (
     ExponentialGap,
     Fixed,
@@ -364,16 +364,16 @@ def load_campaign(path: str) -> CampaignConfig:
     )
 
 
-def _run_cell(sizes: Counter, job: tuple):
+def _run_cell(sizes: dict, job: tuple):
     experiment, *args = job
     run = run_rate_experiment if experiment == "rate" else run_wmrd_experiment
     return run(sizes, *args)
 
 
-_worker_sizes: Counter | None = None  # set once in each pool worker, never in the parent
+_worker_sizes: dict | None = None  # set once in each pool worker, never in the parent
 
 
-def _init_worker(sizes: Counter) -> None:
+def _init_worker(sizes: dict) -> None:
     global _worker_sizes
     _worker_sizes = sizes
 
@@ -391,7 +391,7 @@ def _ports_drawn(job: tuple) -> int:
     return trials * (cfg.src_size + cfg.dst_size)
 
 
-def _run_cells(sizes: Counter, jobs: list, workers: int):
+def _run_cells(sizes: dict, jobs: list, workers: int):
     """Run every job; returns their summaries in job order.
 
     A pool receives the flow table once per worker, not per job, and takes
@@ -485,6 +485,9 @@ def run_campaign(config: CampaignConfig, out_dir: str, workers=1, progress=print
     if not trace and "wmrd" in config.experiments:  # only a csv trace can be empty
         raise _invalid("trace/csv", f"{config.trace_path} holds no packets, and wmrd needs some")
     progress(f"trace ready: {len(trace)} packets")
+    # every flow, grouped once for the trials, the overhead sweep and the export
+    flows = sample_flows(trace, generate_rules(SamplingConfig(SamplingMethod.IP_SUFFIX)))
+    del trace
     written: list[str] = []
 
     cells = [
@@ -504,7 +507,8 @@ def run_campaign(config: CampaignConfig, out_dir: str, workers=1, progress=print
         for experiment in trial_experiments
         for m, mo, r in cells
     ]
-    summaries = _run_cells(flow_sizes(trace), jobs, workers) if jobs else []
+    sizes = {key: len(packets) >> 1 for key, packets in flows.flows.items()}
+    summaries = _run_cells(sizes, jobs, workers) if jobs else []
     for i, experiment in enumerate(trial_experiments):
         done = summaries[i * len(cells):(i + 1) * len(cells)]
         done.sort(key=lambda s: (s.method.value, s.mode.value, s.target_rate))
@@ -512,18 +516,13 @@ def run_campaign(config: CampaignConfig, out_dir: str, workers=1, progress=print
         progress(f"{experiment} experiment done: {len(done)} cells")
 
     if "overhead" in config.experiments:
-        sampling_cfg = None
+        sampled = flows
         if config.overhead_rate != 1:
             (method, mode), = config.sampling  # load_campaign allows only one here
-            sampling_cfg = config_for_rate(
+            sampled = restrict_flows(flows, generate_rules(config_for_rate(
                 method, mode, config.overhead_rate, derive_seed(config.seed, "overhead")
-            )
-        points = run_overhead_experiment(
-            trace,
-            config.overhead_delays_ns,
-            sampling=sampling_cfg,
-            controller_config=config.controller,
-        )
+            )))
+        points = run_overhead_experiment(sampled, config.overhead_delays_ns, config.controller)
         _write_csv(
             out / "overhead_results.csv",
             [f.name for f in fields(OverheadPoint)],
@@ -538,7 +537,7 @@ def run_campaign(config: CampaignConfig, out_dir: str, workers=1, progress=print
                 method, mode, config.export_rate,
                 cell_seed("export", method, mode, config.export_rate),
             )
-            result = replay_flows(trace, generate_rules(cfg), config.controller)
+            result = replay_sampled(restrict_flows(flows, generate_rules(cfg)), config.controller)
             name = f"records_{method.value}_{mode.value}.{config.export_format}"
             with open(out / name, "w", newline="") as fh:
                 export_records(result.records, fh, config.export_format)

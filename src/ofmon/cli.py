@@ -162,6 +162,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not os.path.isfile(args.trace):
         raise ConfigError(f"trace not found: {args.trace}")
     _check_output_file("--out", args.out)
+    if os.path.exists(args.out) and os.path.samefile(args.out, args.trace):
+        raise ConfigError(f"--out: {args.out} is the --trace file")
     target = parse_at("--rate", parse_rate, args.rate)
     seed = parse_at("--seed", check_seed, args.seed)
     sampling = config_for_rate(args.method, args.mode, target, seed)

@@ -2,20 +2,21 @@
 
 Every trial draws its rules with a trial-specific seed, so results are
 reproducible to the byte.  The rate and WMRD experiments take the trace's
-per-flow packet counts (`model.flow_sizes`), built once by the caller, and
-read each trial's sampled flows off its rule set: sampling decides per
-5-tuple, and counter conservation puts every packet of a sampled flow in its
-merged records, so this equals a full replay.  An ip-suffix or port cell
-groups the flow table once by the fields its match reads, so a trial costs
-what it samples, not the flow count.  The overhead experiment depends on
-install delay and timeouts.  It groups the trace's sampled flows once
-(`simulate.sample_flows`) and walks them once per delay
-(`simulate.replay_sampled`), which equals a packet-level replay because a
-record entry only ever sees its own flow.  It reads only the redundancy
-counters, so each walk runs with records off: no flow record and no peak
-occupancy is built.  The flow and byte totals it reports per protocol are
-the same at every delay, so they are read off the groups once.  Statistics
-stay in the standard library; rates stay exact fractions.
+per-flow packet counts, built once by the caller (`model.flow_sizes`, or read
+off a grouping of every flow), and read each trial's sampled flows off its
+rule set: sampling decides per 5-tuple, and counter conservation puts every
+packet of a sampled flow in its merged records, so this equals a full
+replay.  An ip-suffix or port cell groups the flow table once by the fields
+its match reads, so a trial costs what it samples, not the flow count.  The
+overhead experiment depends on install delay and timeouts.  It takes the
+trace's sampled flows grouped by the caller (`simulate.sample_flows`, or
+`simulate.restrict_flows` of a grouping of every flow) and walks them once
+per delay (`simulate.replay_sampled`), which equals a packet-level replay
+because a record entry only ever sees its own flow.  It reads only the
+redundancy counters, so each walk runs with records off: no flow record and
+no peak occupancy is built.  The flow and byte totals it reports per
+protocol are the same at every delay, so they are read off the groups once.
+Statistics stay in the standard library; rates stay exact fractions.
 """
 
 import statistics
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .controller import ControllerConfig
-from .model import FlowKey, PacketRecord, Protocol
+from .model import FlowKey, Protocol
 from .sampling import (
     RuleSet,
     SamplingConfig,
@@ -36,7 +37,7 @@ from .sampling import (
     generate_rules,
     key_sampler,
 )
-from .simulate import replay_sampled, sample_flows
+from .simulate import SampledFlows, replay_sampled
 
 
 def compute_fsd(sizes: Iterable[int]) -> Counter:
@@ -101,7 +102,7 @@ class RateTrialSummary:
 
 
 def _cell_sampler(
-    sizes: Counter[FlowKey], base: SamplingConfig
+    sizes: dict[FlowKey, int], base: SamplingConfig
 ) -> Callable[[RuleSet], list[int]]:
     """The packet counts of the flows a rule set of this cell samples, in any
     order, as a list the caller must not change.
@@ -144,7 +145,7 @@ def _cell_sampler(
 
 
 def _run_trials(
-    sizes: Counter[FlowKey],
+    sizes: dict[FlowKey, int],
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
@@ -179,7 +180,7 @@ def _run_trials(
 
 
 def run_rate_experiment(
-    sizes: Counter[FlowKey],
+    sizes: dict[FlowKey, int],
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
@@ -223,7 +224,7 @@ class WmrdSummary:
 
 
 def run_wmrd_experiment(
-    sizes: Counter[FlowKey],
+    sizes: dict[FlowKey, int],
     method: SamplingMethod,
     mode: SamplingMode,
     target_rate: Fraction,
@@ -267,22 +268,19 @@ class OverheadPoint:
 
 
 def run_overhead_experiment(
-    trace: Sequence[PacketRecord],
+    sampled: SampledFlows,
     delays_ns: Sequence[int],
-    sampling: SamplingConfig | None = None,
     controller_config: ControllerConfig | None = None,
 ) -> list[OverheadPoint]:
     """Redundant packets/bytes as a function of the entry install delay.
 
-    Default sampling is an all-flows rule (rate 1), matching how the install
-    window hurts worst-case.  Each delay replaces the install delay of
-    controller_config; its timeouts apply as given.  Redundant bytes are
-    reported relative to the total trace bytes of the sampled flows, per
-    protocol.
+    `sampled` groups the sampled flows; every flow of the trace (rate 1)
+    shows how the install window hurts worst-case.  Each delay replaces the
+    install delay of controller_config; its timeouts apply as given.
+    Redundant bytes are reported relative to the total trace bytes of the
+    sampled flows, per protocol.
     """
-    cfg = sampling or SamplingConfig(method=SamplingMethod.IP_SUFFIX)
     cc = controller_config or ControllerConfig()
-    sampled = sample_flows(trace, generate_rules(cfg))
     # counter conservation: a sampled flow's records hold its every packet,
     # whatever the delay
     flows_by_proto: Counter = Counter()

@@ -9,16 +9,16 @@ PacketIns.  An entry still in flight when the trace ends is drained with the
 rest, unmatched: an entry counts as installed iff it is dated by the last
 packet's instant.
 
-`replay_flows` gives the same result without the switch, and is what
-`ofmon simulate`, the overhead sweep and the record export run.  A record
-entry is an exact 5-tuple match above every sampling entry, so it only ever
-sees its own flow's packets, and its expiry instant is exact however lazily
-it is evicted.  Each flow's records and redundant PacketIns therefore follow
-from its own packets, whether it is sampled, the controller config and the
-trace's last timestamp.  So the replay runs in two passes: `sample_flows`
-streams the trace once and groups the packets of each sampled flow, and
-`replay_sampled` walks those groups one flow at a time; a sweep over
-controller configs groups once and walks once per config.  The walk closes
+`replay_flows` gives the same result without the switch; `ofmon simulate`
+runs it.  A record entry is an exact 5-tuple match above every sampling
+entry, so it only ever sees its own flow's packets, and its expiry instant
+is exact however lazily it is evicted.  Each flow's records and redundant
+PacketIns therefore follow from its own packets, whether it is sampled, the
+controller config and the trace's last timestamp.  So the replay runs in two
+passes: `sample_flows` streams the trace once and groups the packets of each
+sampled flow, and `replay_sampled` walks those groups one flow at a time.  A
+campaign groups every flow once, and its overhead sweep and export narrow
+that grouping (`restrict_flows`) before they walk it.  The walk closes
 records with the packet-level path's own two rules: `switch.expiry_of` says
 when an entry goes and why, and `controller.merge_record` what its record
 holds.  A caller that reads only the counters, as the overhead sweep does,
@@ -154,6 +154,13 @@ def sample_flows(trace: Iterable[PacketRecord], rule_set: RuleSet) -> SampledFlo
             groups[key] = is_sampled(key) and [now, length]
     flows = {k: packets for k, packets in groups.items() if packets}
     return SampledFlows(flows, len(groups), ts)
+
+
+def restrict_flows(sampled: SampledFlows, rule_set: RuleSet) -> SampledFlows:
+    """The flows of `sampled` that `rule_set` samples, in order: when `sampled`
+    groups every flow of a trace, this equals `sample_flows(trace, rule_set)`."""
+    is_sampled = key_sampler(rule_set)
+    return sampled._replace(flows={k: p for k, p in sampled.flows.items() if is_sampled(k)})
 
 
 def replay_sampled(

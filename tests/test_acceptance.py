@@ -39,7 +39,7 @@ from ofmon import (
 )
 from ofmon.campaign import load_campaign, run_campaign
 from ofmon.sampling import PORT_SPACE
-from ofmon.simulate import Simulation
+from ofmon.simulate import Simulation, sample_flows
 from ofmon.switch import (
     FLOW_RECORD_PRIORITY,
     FlowEntry,
@@ -221,7 +221,9 @@ def test_criterion_5_wmrd_ordering(service_mix_trace):
 def test_criterion_6_overhead_model(gappy_tcp_trace):
     with criterion(6, "controller overhead vs install delay"):
         delays = [0, 1 * MS, 5 * MS, 10 * MS, 20 * MS, 50 * MS, 100 * MS]
-        points = run_overhead_experiment(gappy_tcp_trace, delays_ns=delays)
+        every_flow = generate_rules(SamplingConfig(SamplingMethod.IP_SUFFIX))
+        points = run_overhead_experiment(sample_flows(gappy_tcp_trace, every_flow),
+                                         delays_ns=delays)
         tcp = {p.install_delay_ns: p for p in points if p.protocol is Protocol.TCP}
 
         assert tcp[0].redundant_packets == 0

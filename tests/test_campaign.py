@@ -25,7 +25,8 @@ from ofmon.campaign import (
 from ofmon.controller import ControllerConfig
 from ofmon.evaluation import run_overhead_experiment
 from ofmon.model import flow_key_of
-from ofmon.sampling import SamplingMethod, SamplingMode
+from ofmon.sampling import SamplingConfig, SamplingMethod, SamplingMode, generate_rules
+from ofmon.simulate import sample_flows
 from ofmon.traceio import ParetoDiscrete, SyntheticSpec, write_csv_trace
 
 from helpers import random_trace
@@ -57,6 +58,19 @@ BASE_DIGESTS = {
         "afb73656681d9dc7f3b3ba75187861f064932be521b4a2271760843df3893959",
     "wmrd_results.csv": "25d1a19e79fe67ed10609b0d1be4fee7530686f531aad81f4bfe74f735077913",
     "wmrd_summary.json": "64bfa5ef8dc5dfe2c1acfd30e27d489e7bf989f10aa5fec3c1e97c138f66468b",
+}
+
+# SHA-256 of every file an export-only campaign writes at rate 1/4, one
+# record file per sampling entry
+EXPORT_DIGESTS = {
+    "manifest.json": "7d477f76aa550d935929f22fa68c90f049d61149e6caf3636f7a08c3f80016fe",
+    "records_hash_source.csv": "f48ae4244028dd38ada54158361a1c068c371512c14ad6fd952ff54ce6c23dd2",
+    "records_ip-suffix_pair.csv":
+        "910834999e5675cce1f876cf837b527d170b3f0ce60306de0813428f1fa03d78",
+    "records_ip-suffix_source.csv":
+        "558f9558690b61712c0658ea5bd49b5c6e3786b86d5fa2466989af8b126400fb",
+    "records_port_pair.csv": "f734131b91e1b09928c7fed660edf8ae9c5849aed4085954d5710b8adfe47459",
+    "records_port_source.csv": "471f5748ed7ca8c86033b7ece23880785e346393da73c9d07866f7e93eae445b",
 }
 
 
@@ -448,6 +462,8 @@ class TestRunCampaign:
         # one drawn suffix bit: some flows but not all 400, the same at every delay
         assert 0 < flows["0"] < 400
         assert flows["0"] == flows["5000000"]
+        digest = hashlib.sha256((out / "overhead_results.csv").read_bytes()).hexdigest()
+        assert digest == "d39e5cc51ec0fcaca3e223eff4273188b380458fc3b518ae0f4319dbcd13f83d"
 
     def test_overhead_sweep_applies_the_hard_timeout(self, tmp_path):
         # 20-packet flows 1 ms apart, installs 2 ms late: a 5 ms hard timeout
@@ -465,8 +481,9 @@ class TestRunCampaign:
         run_campaign(hard_config, str(tmp_path / "hard"), **QUIET)
         hard_csv = (tmp_path / "hard" / "overhead_results.csv").read_text()
         assert hard_csv != (soft / "overhead_results.csv").read_text()
+        every_flow = generate_rules(SamplingConfig(SamplingMethod.IP_SUFFIX))
         points = run_overhead_experiment(
-            hard_config.load_trace(), hard_config.overhead_delays_ns,
+            sample_flows(hard_config.load_trace(), every_flow), hard_config.overhead_delays_ns,
             controller_config=hard_config.controller,
         )
         direct = [
@@ -519,12 +536,34 @@ class TestRunCampaign:
         for a, b in zip(sorted(serial), sorted(pooled)):
             assert Path(a).read_bytes() == Path(b).read_bytes()
 
+    @staticmethod
+    def digests(written):
+        return {Path(w).name: hashlib.sha256(Path(w).read_bytes()).hexdigest() for w in written}
+
     def test_outputs_match_the_recorded_digests(self, tmp_path):
         written, _ = self.run(tmp_path, "g")
-        digests = {
-            Path(w).name: hashlib.sha256(Path(w).read_bytes()).hexdigest() for w in written
-        }
-        assert digests == BASE_DIGESTS
+        assert self.digests(written) == BASE_DIGESTS
+
+    def test_exports_of_every_sampling_entry_match_the_recorded_digests(self, tmp_path):
+        written, _ = self.run(tmp_path, "x", {
+            "sampling": [{"method": "hash"}, {"method": "ip-suffix", "mode": "source"},
+                         {"method": "ip-suffix", "mode": "pair"},
+                         {"method": "port", "mode": "source"}, {"method": "port", "mode": "pair"}],
+            "experiments": ["export"],
+            "export": {"rate": "1/4", "format": "csv"},
+        })
+        assert self.digests(written) == EXPORT_DIGESTS
+
+    def test_the_trace_is_grouped_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_flows(*args)
+
+        monkeypatch.setattr(campaign, "sample_flows", counted)
+        self.run(tmp_path, "once")
+        assert len(calls) == 1
 
 
 # -- fuzzing the loader ---------------------------------------------------------

@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -181,6 +182,17 @@ class TestSimulate:
         assert main(["simulate", "--trace", trace_path, "--method", "ip-suffix",
                      "--rate", "1/200", "--out", str(tmp_path / "r.jsonl")]) == 0
         assert "1/256" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("out", ["trace.csv", "./trace.csv"])
+    def test_out_naming_the_trace_is_exit_2_and_keeps_the_trace(
+        self, trace_path, tmp_path, monkeypatch, capsys, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        before = Path(trace_path).read_bytes()
+        assert main(["simulate", "--trace", "trace.csv", "--method", "hash",
+                     "--rate", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --out: {out} is the --trace file\n"
+        assert Path(trace_path).read_bytes() == before
 
     def test_missing_trace_is_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--trace", str(tmp_path / "nope.csv"),

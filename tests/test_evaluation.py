@@ -29,12 +29,13 @@ from ofmon.sampling import (
     generate_rules,
     key_sampler,
 )
-from ofmon.simulate import Simulation, replay_flows, replay_sampled, sample_flows
+from ofmon.simulate import Simulation, replay_flows, replay_sampled, restrict_flows, sample_flows
 from ofmon.traceio import ExponentialGap, Geometric, SyntheticSpec, ZipfSkewed, generate_trace
 
 from helpers import pkt, random_trace
 
 RATE_ONE = SamplingConfig(SamplingMethod.IP_SUFFIX, src_size=0)
+EVERY_FLOW = generate_rules(RATE_ONE)  # no suffix bit to test: every flow is sampled
 MS = 1_000_000
 
 fsd_strategy = st.lists(st.integers(1, 30), min_size=1, max_size=60).map(Counter)
@@ -167,7 +168,8 @@ class TestOverheadExperiment:
         return sorted(out, key=lambda p: p.timestamp_ns)
 
     def test_zero_delay_means_zero_overhead(self):
-        points = run_overhead_experiment(self.two_packet_trace(), delays_ns=[0])
+        points = run_overhead_experiment(sample_flows(self.two_packet_trace(), EVERY_FLOW),
+                                         delays_ns=[0])
         assert points
         for point in points:
             assert point.redundant_packets == 0
@@ -178,7 +180,8 @@ class TestOverheadExperiment:
     def test_window_arithmetic_is_exact(self):
         # 2nd packet arrives 10 ms in: outside a 5 ms window, inside a 20 ms one
         trace = self.two_packet_trace(n=50, gap=10 * MS)
-        points = run_overhead_experiment(trace, delays_ns=[5 * MS, 20 * MS])
+        points = run_overhead_experiment(sample_flows(trace, EVERY_FLOW),
+                                         delays_ns=[5 * MS, 20 * MS])
         by = {(p.install_delay_ns, p.protocol): p for p in points}
         for proto in (Protocol.TCP, Protocol.UDP):
             assert by[(5 * MS, proto)].redundant_packets == 0
@@ -189,7 +192,7 @@ class TestOverheadExperiment:
     def test_monotone_in_delay(self):
         trace = random_trace(200, seed=12, packets_per_flow=4, gap_ns=3 * MS)
         delays = [0, 1 * MS, 2 * MS, 5 * MS, 9 * MS]
-        points = run_overhead_experiment(trace, delays_ns=delays)
+        points = run_overhead_experiment(sample_flows(trace, EVERY_FLOW), delays_ns=delays)
         for proto in (Protocol.TCP, Protocol.UDP):
             means = [p.mean_redundant_packets_per_flow for p in points
                      if p.protocol is proto]
@@ -197,7 +200,8 @@ class TestOverheadExperiment:
 
     def test_flow_counts_match_the_trace(self):
         trace = self.two_packet_trace(n=50)
-        (point,) = [p for p in run_overhead_experiment(trace, delays_ns=[0])
+        sampled = sample_flows(trace, EVERY_FLOW)
+        (point,) = [p for p in run_overhead_experiment(sampled, delays_ns=[0])
                     if p.protocol is Protocol.UDP]
         assert point.flows == 10
         assert point.total_flow_bytes == 10 * 200
@@ -444,7 +448,8 @@ def test_overhead_sweep_equals_one_replay_per_delay(data):
     method, mode = data.draw(st.sampled_from(CELLS), label="cell")
     rate = data.draw(st.sampled_from(REPLAY_RATES), label="rate")
     cfg = config_for_rate(method, mode, rate, data.draw(st.integers(0, 2**64 - 1), label="seed"))
-    got = run_overhead_experiment(trace, delays, sampling=cfg, controller_config=controller)
+    got = run_overhead_experiment(sample_flows(trace, generate_rules(cfg)), delays,
+                                  controller_config=controller)
     assert got == _replayed_overhead(trace, delays, cfg, controller)
 
 
@@ -471,7 +476,11 @@ def test_counters_only_walk_equals_the_full_walk(data):
     method, mode = data.draw(st.sampled_from(CELLS), label="cell")
     rate = data.draw(st.sampled_from(REPLAY_RATES), label="rate")
     cfg = config_for_rate(method, mode, rate, data.draw(st.integers(0, 2**64 - 1), label="seed"))
-    sampled = sample_flows(trace, generate_rules(cfg))
+    rules = generate_rules(cfg)
+    sampled = sample_flows(trace, rules)
+    narrowed = restrict_flows(sample_flows(trace, EVERY_FLOW), rules)
+    assert (narrowed.flows_seen, narrowed.last_ns, list(narrowed.flows.items())) == (
+        sampled.flows_seen, sampled.last_ns, list(sampled.flows.items()))
     full = replay_sampled(sampled, controller)
     got = replay_sampled(sampled, controller, records=False)
 
